@@ -96,8 +96,14 @@ class CacheStore:
     def _append_locked(self, text: str) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self._lock_handle():
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(self.path, "ab+") as fh:
+                if fh.seek(0, os.SEEK_END):
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        # an interrupted write tore the last line; end it, or
+                        # this record is glued onto it and lost with it
+                        text = "\n" + text
+                fh.write(text.encode("utf-8"))
 
     def _rewrite_locked(self, text: str) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)

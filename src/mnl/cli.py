@@ -44,6 +44,7 @@ from .patterns import (
     scan_reduction,
 )
 from .pipeline import (
+    _col_range,
     enumerate_candidates,
     enumerate_og_candidates,
     known_mnl_2row,
@@ -53,6 +54,7 @@ from .pipeline import (
 )
 from .records import DEFAULT_NODE_BUDGET, ExRecord
 from .sequences import (
+    ABABA,
     Sequence,
     format_sequence,
     insert_repeat,
@@ -63,7 +65,6 @@ from .sequences import (
 )
 
 DEFAULT_ENUM_K_CAP = 4
-ABABA = Sequence((1, 2, 1, 2, 1))
 
 
 class _UsageError(Exception):
@@ -145,7 +146,7 @@ def _default_seq_cap(args) -> int:
         raise InvalidInputError(
             f"--cap is required for k > {DEFAULT_ENUM_K_CAP} (computing the alternation cap gets expensive)"
         )
-    record = seq_ex_exact(ABABA, args.k, args.budget)
+    record = seq_ex_exact(Sequence(ABABA), args.k, args.budget)
     if not record.exact:
         raise InvalidInputError("budget too small to compute the default cap; pass --cap")
     return record.value
@@ -266,8 +267,7 @@ def _cmd_enum(args, out) -> int:
         _emit(docs, args.format, out)
         return 0
     _check_enum_k(args)
-    lo = -((args.k + 2) // -4)
-    hi = 4 * args.k - 2
+    lo, hi = _col_range(args.k)
     col_min = args.col_min if args.col_min is not None else lo
     col_max = args.col_max if args.col_max is not None else hi
     if args.mode == "matrix":

@@ -6,15 +6,17 @@ copy of p.  Two engines are provided:
 - ex_exhaustive: plain enumeration of all 2^(n*n) matrices, restricted to
   n <= 4.  It exists as the independent cross-check for the search engine.
 - ex_branch_bound: depth-first search filling the matrix column by column,
-  each column a row bitmask.  Candidate masks are tried in decreasing
-  population count; a branch dies when its optimistic completion cannot beat
-  the best matrix found, or when the partial matrix already contains p
-  (checked incrementally: a new copy must use the newest column).
+  each column a row bitmask, tried in decreasing population count.
 
-For single-row needles the optimistic completion is sharpened by an exact
-per-row subsequence-automaton table; for anything else the trivial
-remaining-columns-times-n bound applies.  Both bounds are admissible, so
-exactness is never at stake, only speed.
+The search runs on the subsequence automata of mnl.automaton: one track per
+set of k board rows (k = p's row count), each carrying how many of p's
+columns embed greedily into the board's columns on those rows.  Appending a
+column advances every track by table lookup, and the branch dies as soon as
+a track matches all of p.  A per-state completion table gives the most ones
+a track's rows can still take without completing p; each board row lies in
+C(n-1, k-1) tracks, so the sum over tracks divided by that is an admissible
+bound on the remaining ones, and a branch that cannot beat the best board
+found is cut.  Exactness is never at stake, only speed.
 
 The search is deterministic and single threaded; records say exact=False
 instead of failing when the node budget runs out.
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 import time
 from itertools import product
+from math import comb
 
+from .automaton import completion_table, matrix_tables
 from .errors import InvalidInputError
 from .patterns import Pattern01, _embed, canonical_key
 from .records import DEFAULT_NODE_BUDGET, ExRecord, GrowthReport, classify_increments
@@ -59,36 +63,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _single_row_tables(p: Pattern01, n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Subsequence-automaton tables for a 1-row needle.
-
-    adv[s][b]: state after reading a column whose bit in this row is b, where
-    state s counts needle columns already embeddable; state m means the row
-    completes a copy.  comp[t][s]: the most ones this row can still take over
-    t remaining columns without completing, or -1 when every continuation
-    completes (the branch is dead because all n columns must be filled).
-    """
-    bits = [1 if (1, c) in p.ones else 0 for c in range(1, p.num_cols + 1)]
-    m = len(bits)
-    adv = [[0, 0] for _ in range(m)]
-    for s in range(m):
-        for b in (0, 1):
-            adv[s][b] = s + 1 if (bits[s] == 0 or b == 1) else s
-    comp = [[0] * m for _ in range(n + 1)]
-    for t in range(1, n + 1):
-        for s in range(m):
-            best = -1
-            for b in (0, 1):
-                s2 = adv[s][b]
-                if s2 == m:
-                    continue
-                sub = comp[t - 1][s2]
-                if sub >= 0 and b + sub > best:
-                    best = b + sub
-            comp[t][s] = best
-    return adv, comp
-
-
 def ex_branch_bound(
     n: int, p: Pattern01, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ExRecord:
@@ -96,64 +70,44 @@ def ex_branch_bound(
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     _require_nonempty(p)
+    k, m = p.num_rows, p.num_cols
     start = time.monotonic()
-    pcs = [bin(m).count("1") for m in range(1 << n)]
-    candidates = sorted(range(1 << n), key=lambda m: (-pcs[m], m))
-    single_row = p.num_rows == 1
-    if single_row:
-        adv, comp = _single_row_tables(p, n)
-        needle_cols = p.num_cols
-
-    best = 0  # the all-zero matrix avoids any nonempty pattern
+    tables = matrix_tables(p.col_masks, k, n)
+    best = 0 if tables else n * n  # with no k board rows no copy of p fits
     nodes = 0
-    cols: list[int] = []
+    exact = True
+    if tables:
+        pcs = [bin(mask).count("1") for mask in range(1 << n)]
+        candidates = sorted(range(1 << n), key=lambda mask: (-pcs[mask], mask))
+        comp = completion_table(p.col_masks, k, n)
+        per_row = comb(n - 1, k - 1)  # tracks through any one board row
 
-    def rec(ones: int, states: tuple[int, ...] | None) -> None:
+    def rec(ones: int, remaining: int, states: list[int]) -> None:
         nonlocal best, nodes
-        placed = len(cols)
-        remaining = n - placed
         if remaining == 0:
             if ones > best:
                 best = ones
             return
-        if single_row:
-            bound = ones
-            for s in states:  # type: ignore[union-attr]
-                row_max = comp[remaining][s]
-                if row_max < 0:
-                    return
-                bound += row_max
-            if bound <= best:
-                return
-        elif ones + remaining * n <= best:
+        if ones + sum(map(comp[remaining].__getitem__, states)) // per_row <= best:
             return
-        rem_after = (remaining - 1) * n
+        # states only grow, so the children's completion is bounded by ours
+        room_after = sum(map(comp[remaining - 1].__getitem__, states)) // per_row
+        rows = [table[s] for table, s in zip(tables, states)]
         for mask in candidates:
             if nodes >= node_budget:
                 raise _BudgetExhausted
             nodes += 1
-            if ones + pcs[mask] + rem_after <= best:
+            if ones + pcs[mask] + room_after <= best:
                 break  # candidates sorted by popcount, nothing later can win
-            if single_row:
-                new_states = tuple(
-                    adv[s][(mask >> r) & 1] for r, s in enumerate(states)  # type: ignore[arg-type]
-                )
-                if any(s == needle_cols for s in new_states):
-                    continue
-                cols.append(mask)
-                rec(ones + pcs[mask], new_states)
-                cols.pop()
-            else:
-                cols.append(mask)
-                if not _embed(cols, n, p, pin_last_col=True):
-                    rec(ones + pcs[mask], None)
-                cols.pop()
+            new_states = [row[mask] for row in rows]
+            if m not in new_states:
+                rec(ones + pcs[mask], remaining - 1, new_states)
 
-    exact = True
-    try:
-        rec(0, (0,) * n if single_row else None)
-    except _BudgetExhausted:
-        exact = False
+    if tables:
+        try:
+            rec(0, n, [0] * len(tables))
+        except _BudgetExhausted:
+            exact = False
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return ExRecord(
         pattern_key=canonical_key(p),

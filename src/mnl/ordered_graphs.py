@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import InvalidInputError, InvalidTransformationError

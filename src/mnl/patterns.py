@@ -124,15 +124,9 @@ def _greedy_rows_feasible(row_cands: Seq[int]) -> bool:
     return True
 
 
-def _embed(
-    hay_col_masks: Seq[int],
-    hay_rows: int,
-    needle: Pattern01,
-    pin_last_col: bool = False,
-) -> bool:
+def _embed(hay_col_masks: Seq[int], hay_rows: int, needle: Pattern01) -> bool:
     """Backtracking over needle-column images with per-needle-row candidate
-    masks.  With pin_last_col the last needle column must map to the last
-    haystack column (incremental form used by the column-filling search)."""
+    masks."""
     m = needle.num_cols
     k = needle.num_rows
     num_cols = len(hay_col_masks)
@@ -140,17 +134,12 @@ def _embed(
         return False
     col_rows = needle._col_rows0
     full = (1 << hay_rows) - 1
-    last = num_cols - 1
 
     def rec(j: int, start: int, cands: list[int]) -> bool:
         if j == m:
             return True
-        if pin_last_col and j == m - 1:
-            col_range: Seq[int] = (last,) if start <= last else ()
-        else:
-            col_range = range(start, num_cols - m + j + 1)
         rows = col_rows[j]
-        for c in col_range:
+        for c in range(start, num_cols - m + j + 1):
             if rows:
                 cm = hay_col_masks[c]
                 new_cands = cands.copy()

@@ -6,6 +6,12 @@ growth string).  Containment, block structure, exact extremal lengths, the
 repeat-insertion transformation, and the candidate stream for minimally
 non-linear sequences all live here.
 
+The exact search and the candidate stream grow words one letter at a time
+and check avoidance incrementally with the subsequence automata of
+mnl.automaton: one track per injective map of the needle's symbols into the
+board's, each advanced by table lookup, a copy found as soon as one track
+matches the whole needle.
+
 Text format: lowercase letters a-z (a=1, b=2, ...) for alphabets up to 26,
 comma-separated positive integers otherwise.  Parsing normalizes, so "bab"
 and "aba" denote the same value.
@@ -16,6 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .automaton import sequence_tables
 from .errors import InvalidInputError, InvalidTransformationError
 from .records import DEFAULT_NODE_BUDGET, ExRecord
 
@@ -147,49 +154,6 @@ def blocks(u: Sequence) -> BlockDecomposition:
     return BlockDecomposition(tuple(runs))
 
 
-def _extends_copy(letters: list[int], v: tuple[int, ...]) -> bool:
-    """True iff v embeds into letters with v's final element mapped to the
-    final position.  Used incrementally: if a prefix avoided v, appending a
-    letter creates a copy only through the new position."""
-    big, m = len(letters), len(v)
-    if m > big:
-        return False
-    last = letters[-1]
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def rec(i: int, j: int) -> bool:
-        vs = v[i]
-        if i == m - 1:
-            if vs in mapping:
-                return mapping[vs] == last
-            return last not in used
-        limit = big - 1 - (m - 1 - i)
-        if vs in mapping:
-            target = mapping[vs]
-            for jj in range(j, limit + 1):
-                if letters[jj] == target:
-                    return rec(i + 1, jj + 1)
-            return False
-        tried: set[int] = set()
-        for jj in range(j, limit + 1):
-            us = letters[jj]
-            if us in used or us in tried:
-                continue
-            tried.add(us)
-            mapping[vs] = us
-            used.add(us)
-            if rec(i + 1, jj + 1):
-                del mapping[vs]
-                used.discard(us)
-                return True
-            del mapping[vs]
-            used.discard(us)
-        return False
-
-    return rec(0, 0)
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -206,14 +170,16 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
         raise InvalidInputError(f"n must be >= 1, got {n}")
     start = time.monotonic()
     r = u.alphabet_size
-    vlett = u.letters
+    m = len(u.letters)
+    tables = sequence_tables(u.letters, n)
     best = 0
     nodes = 0
     exact = True
     seq: list[int] = []
 
-    def rec(max_sym: int) -> None:
+    def rec(max_sym: int, states: list[int]) -> None:
         nonlocal best, nodes
+        rows = [table[s] for table, s in zip(tables, states)]
         for x in range(1, min(max_sym + 1, n) + 1):
             if nodes >= node_budget:
                 raise _BudgetExhausted
@@ -223,17 +189,17 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
                 window.append(x)
                 if len(set(window)) != r:
                     continue
-            seq.append(x)
-            if _extends_copy(seq, vlett):
-                seq.pop()
+            new_states = [row[x] for row in rows]
+            if m in new_states:
                 continue
+            seq.append(x)
             if len(seq) > best:
                 best = len(seq)
-            rec(max(max_sym, x))
+            rec(max(max_sym, x), new_states)
             seq.pop()
 
     try:
-        rec(0)
+        rec(0, [0] * len(tables))
     except _BudgetExhausted:
         exact = False
     elapsed_ms = int((time.monotonic() - start) * 1000)
@@ -271,9 +237,10 @@ def _candidates_of_length(length: int, k: int, segment_cap: int) -> Iterator[tup
     """Lexicographic stream of normalized words of the given length over
     exactly k symbols with runs of length <= 2, at most segment_cap runs,
     and no copy of ababa."""
+    tables = sequence_tables(ABABA, k)
     seq: list[int] = []
 
-    def rec(used: int, num_runs: int) -> Iterator[tuple[int, ...]]:
+    def rec(used: int, num_runs: int, states: list[int]) -> Iterator[tuple[int, ...]]:
         if len(seq) == length:
             if used == k:
                 yield tuple(seq)
@@ -281,6 +248,7 @@ def _candidates_of_length(length: int, k: int, segment_cap: int) -> Iterator[tup
         remaining = length - len(seq)
         if k - used > remaining:
             return
+        rows = [table[s] for table, s in zip(tables, states)]
         for x in range(1, min(used + 1, k) + 1):
             if seq and x == seq[-1]:
                 if len(seq) >= 2 and seq[-2] == x:
@@ -290,12 +258,13 @@ def _candidates_of_length(length: int, k: int, segment_cap: int) -> Iterator[tup
                 new_runs = num_runs + 1
                 if new_runs > segment_cap:
                     continue
-            seq.append(x)
-            if not _extends_copy(seq, ABABA):
-                yield from rec(max(used, x), new_runs)
-            seq.pop()
+            new_states = [row[x] for row in rows]
+            if len(ABABA) not in new_states:
+                seq.append(x)
+                yield from rec(max(used, x), new_runs, new_states)
+                seq.pop()
 
-    yield from rec(0, 0)
+    yield from rec(0, 0, [0] * len(tables))
 
 
 def mnl_seq_candidates(k: int, segment_cap: int) -> Iterator[Sequence]:

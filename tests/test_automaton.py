@@ -1,0 +1,118 @@
+"""The subsequence-automaton kernel against the naive oracles, and the
+up-front refusal of tables too large to build."""
+import tracemalloc
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from mnl.automaton import matrix_tables, sequence_tables
+from mnl.cli import main
+from mnl.errors import InvalidInputError
+from mnl.extremal import ex_branch_bound
+from mnl.patterns import Pattern01, parse_pattern
+from mnl.sequences import Sequence, parse_sequence, seq_ex_exact
+
+from oracles import naive_contains, naive_ex, naive_seq_contains, naive_seq_ex
+
+CHECK = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+SEARCH = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+
+
+@st.composite
+def matrices(draw, max_rows, max_cols, nonempty=False):
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    ones = draw(st.sets(st.sampled_from(cells), min_size=1 if nonempty else 0))
+    return Pattern01(rows, cols, frozenset(ones))
+
+
+def words(min_size, max_size):
+    return st.lists(st.integers(1, 3), min_size=min_size, max_size=max_size)
+
+
+def run_kernel(tables, letters, m):
+    """Feed a whole board to the tracks; True iff one matches all m positions."""
+    states = [0] * len(tables)
+    for x in letters:
+        states = [table[s][x] for table, s in zip(tables, states)]
+        if m in states:
+            return True
+    return False
+
+
+@CHECK
+@given(matrices(3, 4), matrices(4, 5))
+def test_matrix_kernel_matches_naive_contains(needle, board):
+    tables = matrix_tables(needle.col_masks, needle.num_rows, board.num_rows)
+    got = run_kernel(tables, board.col_masks, needle.num_cols)
+    assert got == naive_contains(board, needle)
+
+
+@CHECK
+@given(words(1, 5), words(0, 9))
+def test_sequence_kernel_matches_naive_seq_contains(needle, board):
+    v = Sequence.normalized(needle).letters
+    got = run_kernel(sequence_tables(v, 3), board, len(v))
+    assert got == naive_seq_contains(board, v)
+
+
+@SEARCH
+@given(matrices(3, 3, nonempty=True), st.integers(1, 3))
+def test_ex_branch_bound_matches_naive_ex(p, n):
+    rec = ex_branch_bound(n, p)
+    assert rec.exact and rec.value == naive_ex(n, p)
+
+
+@SEARCH
+@given(words(1, 5), st.integers(1, 4))
+def test_seq_ex_exact_matches_naive_seq_ex(letters, n):
+    # a symbol used thrice at n=4 (or four times at n=3) lets the avoiding
+    # words grow past what the naive oracle enumerates in seconds
+    assume(max(map(letters.count, letters)) <= (2 if n == 4 else 3))
+    u = Sequence.normalized(letters)
+    rec = seq_ex_exact(u, n)
+    assert rec.exact and rec.value == naive_seq_ex(u.letters, n)
+
+
+@pytest.fixture
+def refused_without_allocating():
+    """Run the body under a 512 MB address-space cap, so a broken size check
+    fails with MemoryError instead of exhausting the machine, and assert
+    that the body allocated next to nothing."""
+    resource = pytest.importorskip("resource")
+    try:
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        pytest.skip("needs /proc/self/statm to cap the address space")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + (512 << 20)
+    resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+    tracemalloc.start()
+    try:
+        yield
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_large_board_refused(refused_without_allocating):
+    with pytest.raises(InvalidInputError, match="table entries"):
+        ex_branch_bound(40, parse_pattern("11/11"))
+
+
+def test_large_alphabet_refused(refused_without_allocating):
+    with pytest.raises(InvalidInputError, match="table entries"):
+        seq_ex_exact(parse_sequence("abcacbc"), 1000)
+
+
+def test_cli_large_board_exits_1(tmp_path, capsys, refused_without_allocating):
+    code = main(["ex", "--pattern", "11/11", "--n", "40", "--cache", str(tmp_path / "c.jsonl")])
+    assert code == 1 and "table entries" in capsys.readouterr().err
+
+
+def test_desk_scale_boards_admitted():
+    rec = ex_branch_bound(8, parse_pattern("1010/0101"), node_budget=1)
+    assert not rec.exact and rec.nodes_explored == 1

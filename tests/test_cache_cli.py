@@ -48,6 +48,15 @@ class TestCacheStore:
         assert store.get("1/1", "matrix", 3) == rec()
         assert "corrupt cache line" in capsys.readouterr().err
 
+    def test_put_after_torn_line_is_kept(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        store = CacheStore(path)
+        store.put(rec(n=3))
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])  # an append cut off mid-line
+        store.put(rec(n=4, value=4))
+        assert store.get("1/1", "matrix", 4) == rec(n=4, value=4)
+
     def test_exact_conflict_refused(self, tmp_path):
         store = CacheStore(tmp_path / "c.jsonl")
         store.put(rec(value=3, exact=True))

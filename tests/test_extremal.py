@@ -108,8 +108,8 @@ class TestBranchBound:
             ex_branch_bound(3, Pattern01(2, 2, frozenset()))
 
     def test_single_row_bound_agrees_with_general_path(self):
-        # single-row needles take the automaton-pruned path; the rotation is
-        # multi-row, takes the general path, and must agree on square boards
+        # a single-row needle runs on one track per board row, its rotation
+        # on one track per set of rows; both must agree on square boards
         for text in ("11", "101", "1011"):
             p = P(text)
             for n in range(1, 5):
