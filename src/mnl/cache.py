@@ -58,16 +58,20 @@ class CacheStore:
 
     def put(self, record: ExRecord) -> ExRecord:
         """Append the record.  An exact record that contradicts an existing
-        exact record is refused: exact values are immutable facts."""
-        existing = self.get(record.pattern_key, record.kind, record.n)
-        if existing is not None and existing.exact:
-            if record.exact and record.value != existing.value:
-                raise ValueError(
-                    f"exact value conflict for {record.pattern_key!r} n={record.n}: "
-                    f"cached {existing.value}, new {record.value}"
-                )
-            return existing  # nothing to add; exact already known
-        self._append_locked(json.dumps(record.to_json_dict()) + "\n")
+        exact record is refused: exact values are immutable facts.  The
+        lookup and the append happen under one lock hold, so of several
+        writers with contradicting exact values exactly one lands."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self._lock_handle():
+            existing = self.get(record.pattern_key, record.kind, record.n)
+            if existing is not None and existing.exact:
+                if record.exact and record.value != existing.value:
+                    raise ValueError(
+                        f"exact value conflict for {record.pattern_key!r} n={record.n}: "
+                        f"cached {existing.value}, new {record.value}"
+                    )
+                return existing  # nothing to add; exact already known
+            self._append_locked(json.dumps(record.to_json_dict()) + "\n")
         return record
 
     def compact(self) -> int:
@@ -94,16 +98,15 @@ class CacheStore:
         return handle
 
     def _append_locked(self, text: str) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self._lock_handle():
-            with open(self.path, "ab+") as fh:
-                if fh.seek(0, os.SEEK_END):
-                    fh.seek(-1, os.SEEK_END)
-                    if fh.read(1) != b"\n":
-                        # an interrupted write tore the last line; end it, or
-                        # this record is glued onto it and lost with it
-                        text = "\n" + text
-                fh.write(text.encode("utf-8"))
+        """Append text; the caller holds the lock."""
+        with open(self.path, "ab+") as fh:
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    # an interrupted write tore the last line; end it, or
+                    # this record is glued onto it and lost with it
+                    text = "\n" + text
+            fh.write(text.encode("utf-8"))
 
     def _rewrite_locked(self, text: str) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -6,9 +6,6 @@ Sequences are short enough to always pass inline.  Output is JSON by
 default, one document per result and one line per streamed result; tsv is
 available for spreadsheets.  Exit status: 0 success, 1 invalid input, 2 when
 --require-exact is set and a search returned an inexact value.
-
-The --threads flag is accepted for interface stability but the engines are
-single threaded; results do not depend on it.
 """
 from __future__ import annotations
 
@@ -324,7 +321,6 @@ def _cmd_compact(args, out) -> int:
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--cache", default=None, help="cache path (default $MNL_CACHE or ./mnl-cache.jsonl)")
-    common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; engines are serial")
     common.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
     common.add_argument("--format", choices=("json", "tsv"), default="json")
     common.add_argument("--require-exact", action="store_true", help="exit 2 if a result is inexact")
@@ -419,8 +415,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        if args.threads < 1:
-            raise InvalidInputError(f"--threads must be >= 1, got {args.threads}")
         return args.handler(args, sys.stdout)
     except (InvalidInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

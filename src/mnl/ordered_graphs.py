@@ -6,6 +6,14 @@ Vertices are 1..n in line order; edges are pairs (u, v) with u < v.
 Containment is non-induced: h contains g iff some strictly increasing
 injection of g's vertices maps every g-edge onto an h-edge.
 
+Containment runs on one kernel, _og_embed, over adjacency bitmasks of the
+host.  The exact search og_ex_exact adds edges in lexicographic order, so
+a new copy of g must map g's last left endpoint L and L's last right
+neighbour onto the new edge: one embed pinned there decides each step.
+It bounds the rest of the board by exact extremal values on the smaller
+boards the last rows induce, solved first in the same call (the bootstrap
+used for exact Zarankiewicz numbers).
+
 Text format: first line "n=<int>", then one "<u> <v>" pair per line with
 u < v, blank lines ignored.  A ';' may replace the newline as a single-line
 variant (used for cache keys and tsv cells).
@@ -15,6 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import InvalidInputError, InvalidTransformationError
 from .patterns import Pattern01, canonical_key
@@ -102,120 +111,187 @@ def og_key(g: OrderedGraph) -> str:
 # containment
 # ---------------------------------------------------------------------------
 
+def _adjacency(n: int, edges) -> list[int]:
+    """adj[x] has bit y set iff x and y are adjacent (vertices 1..n)."""
+    adj = [0] * (n + 1)
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
 def _og_embed(
-    hay_edges: frozenset[tuple[int, int]] | set[tuple[int, int]],
+    adj: list[int],
     hay_n: int,
     g: OrderedGraph,
     pins: dict[int, int] | None = None,
 ) -> bool:
-    """Increasing-injection search.  pins maps g-vertices to fixed images,
-    used for the incremental check where a new edge must be part of any new
-    copy."""
+    """True iff the host on vertices 1..hay_n, where bit y of adj[x] is set
+    iff x and y are adjacent, has a copy of g sending every pinned g-vertex
+    to its pin.
+
+    mask[i] holds the positions g-vertex i may take: i..i+hay_n-k leaves
+    room for the vertices on either side, each pin narrows every range to
+    its own side, and adj[pin] of each pinned neighbour is ANDed in.  The
+    search places the vertices left to right; the candidates of vertex i
+    are the bits of mask[i] above the image of i-1, ANDed with adj[image]
+    of each earlier unpinned neighbour, and it loops over their set bits
+    with an explicit stack."""
     k = g.num_vertices
-    if k > hay_n:
+    room = hay_n - k
+    if room < 0:
         return False
-    below = [[] for _ in range(k + 1)]
-    for u, v in g.edges:
-        below[v].append(u)
-    gdeg = [0] * (k + 1)
-    for u, v in g.edges:
-        gdeg[u] += 1
-        gdeg[v] += 1
-    hdeg = [0] * (hay_n + 1)
-    for u, v in hay_edges:
-        hdeg[u] += 1
-        hdeg[v] += 1
-    assign = [0] * (k + 1)
-
-    def rec(i: int, start: int) -> bool:
-        if i > k:
-            return True
-        if pins and i in pins:
-            x = pins[i]
-            if x < start or x > hay_n - (k - i):
-                return False
-            choices = (x,)
+    mask = [((2 << room) - 1) << i for i in range(k + 1)]
+    pins = pins or {}
+    for a, x in pins.items():
+        if not a <= x <= a + room:
+            return False
+        for i in range(1, a):
+            mask[i] &= (2 << (x - a + i)) - 1  # at most x - (a - i)
+        mask[a] &= 1 << x
+        for i in range(a + 1, k + 1):
+            mask[i] &= -1 << (x - a + i)  # at least x + (i - a)
+    below: list[list[int]] = [[] for _ in range(k + 1)]
+    for a, b in g.edges:
+        if a in pins:
+            mask[b] &= adj[pins[a]]
+        elif b in pins:
+            mask[a] &= adj[pins[b]]
         else:
-            choices = range(start, hay_n - (k - i) + 1)
-        for x in choices:
-            if hdeg[x] < gdeg[i]:
-                continue
-            if any((assign[a], x) not in hay_edges for a in below[i]):
-                continue
-            assign[i] = x
-            if rec(i + 1, x + 1):
+            below[b].append(a)
+    image = [0] * (k + 1)
+    untried = [0] * (k + 1)  # candidates of vertex i not yet tried
+    i, cand = 1, mask[1]
+    while True:
+        if cand:
+            low = cand & -cand
+            untried[i] = cand ^ low
+            image[i] = x = low.bit_length() - 1
+            if i == k:
                 return True
-        return False
-
-    return rec(1, 1)
+            i += 1
+            cand = mask[i] >> (x + 1) << (x + 1)
+            for a in below[i]:
+                cand &= adj[image[a]]
+        else:
+            i -= 1
+            if not i:
+                return False
+            cand = untried[i]
 
 
 def og_contains(h: OrderedGraph, g: OrderedGraph) -> bool:
     """True iff h has a subgraph order-isomorphic to g (extra edges allowed)."""
-    return _og_embed(h.edges, h.num_vertices, g)
+    return _og_embed(_adjacency(h.num_vertices, h.edges), h.num_vertices, g)
 
 
 # ---------------------------------------------------------------------------
 # exact extremal edge count
 # ---------------------------------------------------------------------------
 
-class _BudgetExhausted(Exception):
-    pass
+def _og_search(
+    m: int, g: OrderedGraph, ceiling: list[int], best: int, node_budget: int
+) -> tuple[int, int, bool]:
+    """Depth-first include/exclude over the edge slots of an m-vertex board
+    in lexicographic order, include first, looking for a board with more
+    than best edges.  ceiling[j] bounds ex_<(j, g) from above for j < m.
+    The stack of included slots is explicit, so the depth is not limited
+    by Python's recursion limit.  Returns (best, nodes, complete), where
+    complete is False when the budget ran out first."""
+    left = max(a for a, _ in g.edges)
+    right = max(b for a, b in g.edges if a == left)
+    adj = [0] * (m + 1)
+    included: list[tuple[int, int]] = []  # their exclude branches are pending
+    u, v, count, nodes = 1, 2, 0, 0
+    while True:
+        if u == m:  # every slot decided
+            best = max(best, count)
+            descend = False
+        else:
+            in_row = (adj[u] >> u).bit_count()
+            room = min(m - v + 1 + ceiling[m - u], ceiling[m - u + 1] - in_row)
+            descend = count + room > best
+        if descend:
+            if nodes >= node_budget:
+                return best, nodes, False
+            nodes += 1
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            if _og_embed(adj, m, g, {left: u, right: v}):
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            else:
+                included.append((u, v))
+                count += 1
+        elif included:
+            u, v = included.pop()
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            count -= 1
+        else:
+            return best, nodes, True
+        u, v = (u, v + 1) if v < m else (u + 1, u + 2)
 
 
 def og_ex_exact(
     n: int, g: OrderedGraph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ExRecord:
-    """Maximum edges of an n-vertex ordered graph avoiding g, by depth-first
-    include/exclude over edge slots in lexicographic order.  Including an
-    edge is refused when it would complete a copy of g, checked with that
-    edge pinned into the embedding."""
+    """Maximum edges of an n-vertex ordered graph avoiding g.
+
+    Edge slots (u, v) are decided in lexicographic order, include first.
+
+    Containment: one pinned embed per node.  When slot (u, v) comes up,
+    every chosen edge has left end <= u, and those with left end u have
+    right end <= v.  Let L be the largest left endpoint of a g-edge and B
+    the largest right neighbour of L.  A copy of g that uses the new edge
+    as the image of (a, b) has image(L) <= u, since L is a left endpoint,
+    and u = image(a) <= image(L) since a <= L; so image(L) = u and a = L.
+    Likewise v = image(b) <= image(B) <= v.  Any new copy therefore maps L
+    to u and B to v, and any copy doing so uses the new edge; the board
+    before it avoided g, so a single embed with pins {L: u, B: v} decides
+    whether including (u, v) completes a copy.
+
+    Bound: the vertices u+1..n, and u..n, of any g-free board induce g-free
+    boards on n-u and n-u+1 vertices.  So at slot (u, v) the edges still to
+    come number at most the n-v+1 slots left in row u plus ex_<(n-u, g),
+    and at most ex_<(n-u+1, g) less the edges already chosen in row u.  A
+    branch that cannot beat the best board found is cut.  The values for
+    m < n come from exact searches inside this call, smallest m first, on
+    the same node budget, counted in nodes_explored; for m < |V(g)| the
+    value is C(m, 2).  A sub-search that runs out of budget ends the call
+    with an inexact record; what it found is only a lower bound and never
+    becomes a ceiling.
+
+    Start: when g's last vertex has an edge, a g-free board with an
+    isolated vertex appended is still g-free, since only g's last vertex
+    could land on it.  Then each search starts from the best board on one
+    vertex fewer, and a budget overrun before the last search still
+    reports a board that exists on n vertices.
+    """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if not g.edges:
         raise InvalidInputError("forbidden graph needs at least one edge")
     start = time.monotonic()
-    slots = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    total_slots = len(slots)
-    g_edges = sorted(g.edges)
-    best = 0
-    nodes = 0
-    chosen: set[tuple[int, int]] = set()
-
-    def creates_copy(e: tuple[int, int]) -> bool:
-        return any(
-            _og_embed(chosen, n, g, pins={a: e[0], b: e[1]})
-            for a, b in g_edges
-        )
-
-    def rec(idx: int, count: int) -> None:
-        nonlocal best, nodes
-        if count + (total_slots - idx) <= best:
-            return
-        if idx == total_slots:
-            best = count
-            return
-        if nodes >= node_budget:
-            raise _BudgetExhausted
-        nodes += 1
-        e = slots[idx]
-        chosen.add(e)
-        if not creates_copy(e):
-            rec(idx + 1, count + 1)
-        chosen.discard(e)
-        rec(idx + 1, count)
-
-    exact = True
-    try:
-        rec(0, 0)
-    except _BudgetExhausted:
-        exact = False
+    k = g.num_vertices
+    ceiling = [comb(m, 2) for m in range(n + 1)]  # upper bounds on ex_<(m, g)
+    grows = max(b for _, b in g.edges) == k  # g's last vertex has an edge
+    value, nodes, exact = ceiling[n], 0, True  # stands when g outgrows the board
+    for m in range(k, n + 1):
+        seed = value if grows and m > k else 0
+        value, used, exact = _og_search(m, g, ceiling, seed, node_budget - nodes)
+        nodes += used
+        if not exact:
+            if m < n and not grows:
+                value = 0  # a board on m < n vertices proves nothing about n
+            break
+        ceiling[m] = value
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return ExRecord(
         pattern_key=og_key(g),
         kind="ordered-graph",
         n=n,
-        value=best,
+        value=value,
         exact=exact,
         nodes_explored=nodes,
         elapsed_ms=elapsed_ms,

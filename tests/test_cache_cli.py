@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import time
 
 import pytest
 
@@ -12,6 +14,25 @@ from mnl.sequences import parse_sequence
 
 def rec(key="1/1", kind="matrix", n=3, value=3, exact=True, nodes=10, ms=1):
     return ExRecord(key, kind, n, value, exact, nodes, ms)
+
+
+def _slow_exact_put(path, value, start, outcomes):
+    """One writer of a contradicting exact value, its lookups slowed so that
+    writers that looked before another appended would all land."""
+    lookup = CacheStore.get
+
+    def slow_get(self, *key):
+        found = lookup(self, *key)
+        time.sleep(0.2)
+        return found
+
+    CacheStore.get = slow_get
+    start.wait()
+    try:
+        CacheStore(path).put(rec(value=value, exact=True))
+        outcomes.put("landed")
+    except ValueError:
+        outcomes.put("refused")
 
 
 class TestCacheStore:
@@ -47,6 +68,25 @@ class TestCacheStore:
         store.put(rec(n=4, value=4))
         assert store.get("1/1", "matrix", 3) == rec()
         assert "corrupt cache line" in capsys.readouterr().err
+
+    def test_concurrent_contradicting_exact_puts(self, tmp_path):
+        ctx = multiprocessing.get_context("spawn")
+        path = tmp_path / "c.jsonl"
+        start, outcomes = ctx.Barrier(4), ctx.Queue()
+        writers = [
+            ctx.Process(target=_slow_exact_put, args=(path, value, start, outcomes))
+            for value in (3, 4, 5, 6)
+        ]
+        for w in writers:
+            w.start()
+        got = sorted(outcomes.get(timeout=60) for _ in writers)
+        for w in writers:
+            w.join(10)
+            assert not w.is_alive()
+        assert got == ["landed", "refused", "refused", "refused"]
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1
+        assert CacheStore(path).get("1/1", "matrix", 3).value == json.loads(lines[0])["value"]
 
     def test_put_after_torn_line_is_kept(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -262,10 +302,6 @@ class TestCliBasics:
     def test_seq_cap_required_above_default_k(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "bounds", "seq", "--k", "5", *cache_args(tmp_path))
         assert code == 1 and "--cap" in err
-
-    def test_threads_validation(self, tmp_path, capsys):
-        code, _, err = run_cli(capsys, "known", "--threads", "0", *cache_args(tmp_path))
-        assert code == 1 and "--threads" in err
 
 
 class TestCliExitCodes:

@@ -1,0 +1,126 @@
+"""The ordered-graph bitmask kernel and exact search against the naive
+oracles, and searches deeper than Python's recursion limit."""
+import json
+from itertools import combinations
+
+from hypothesis import assume, given, settings, strategies as st
+
+from mnl.cli import main
+from mnl.ordered_graphs import (
+    OrderedGraph,
+    _adjacency,
+    _og_embed,
+    og_ex_exact,
+    og_insert_isolated,
+    parse_ordered_graph,
+)
+
+from oracles import naive_og_contains, naive_og_ex
+
+CHECK = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+SEARCH = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+@st.composite
+def graphs(draw, max_vertices, nonempty=False):
+    n = draw(st.integers(2 if nonempty else 1, max_vertices))
+    slots = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.sets(st.sampled_from(slots), min_size=1 if nonempty else 0)) if slots else ()
+    return OrderedGraph(n, frozenset(edges))
+
+
+@st.composite
+def needles(draw, max_vertices):
+    """Needles with at least one edge, sometimes with an isolated vertex."""
+    g = draw(graphs(max_vertices - 1, nonempty=True))
+    if draw(st.booleans()):
+        g = og_insert_isolated(g, draw(st.integers(0, g.num_vertices)))
+    return g
+
+
+def naive_pinned_contains(h, g, pins):
+    """A copy of g placed on each vertex set that honours the pins, checked
+    by naive_og_contains on the subgraph that set induces."""
+    for sel in combinations(range(1, h.num_vertices + 1), g.num_vertices):
+        if any(sel[a - 1] != x for a, x in pins.items()):
+            continue
+        index = {x: i for i, x in enumerate(sel, start=1)}
+        induced = frozenset(
+            (index[u], index[v]) for u, v in h.edges if u in index and v in index
+        )
+        if naive_og_contains(OrderedGraph(g.num_vertices, induced), g):
+            return True
+    return False
+
+
+@CHECK
+@given(graphs(7), graphs(5))
+def test_unpinned_embed_matches_naive(h, g):
+    adj = _adjacency(h.num_vertices, h.edges)
+    assert _og_embed(adj, h.num_vertices, g) == naive_og_contains(h, g)
+
+
+@CHECK
+@given(graphs(7), graphs(5), st.data())
+def test_pinned_embed_matches_naive(h, g, data):
+    pinned = data.draw(st.sets(st.integers(1, g.num_vertices), max_size=3))
+    pins = {a: data.draw(st.integers(1, h.num_vertices)) for a in sorted(pinned)}
+    adj = _adjacency(h.num_vertices, h.edges)
+    assert _og_embed(adj, h.num_vertices, g, pins) == naive_pinned_contains(h, g, pins)
+
+
+@SEARCH
+@given(needles(6), st.integers(1, 5))
+def test_og_ex_exact_matches_naive(g, n):
+    rec = og_ex_exact(n, g)
+    assert rec.exact and rec.value == naive_og_ex(n, g)
+
+
+@SEARCH
+@given(needles(5), st.integers(2, 6), st.data())
+def test_budget_overrun_is_never_exact(g, n, data):
+    full = og_ex_exact(n, g)
+    budget = data.draw(st.integers(0, max(full.nodes_explored - 1, 0)))
+    rec = og_ex_exact(n, g, node_budget=budget)
+    assert full.exact
+    assert rec.exact == (full.nodes_explored == 0)
+    assert rec.nodes_explored <= budget and rec.value <= full.value
+
+
+@SEARCH
+@given(needles(5), st.integers(3, 6), st.data())
+def test_sub_search_overrun_is_never_exact(g, n, data):
+    # the searches on m < n vertices are the ones og_ex_exact(n - 1) runs,
+    # so a budget below its node count runs out inside one of them
+    before_last = og_ex_exact(n - 1, g).nodes_explored
+    assume(before_last > 0)
+    budget = data.draw(st.integers(0, before_last - 1))
+    rec = og_ex_exact(n, g, node_budget=budget)
+    assert not rec.exact and rec.nodes_explored <= budget
+    assert rec.value <= og_ex_exact(n, g).value
+
+
+def test_full_budget_is_exact():
+    g = parse_ordered_graph("n=4;1 3;1 4;2 3;2 4")
+    full = og_ex_exact(7, g)
+    again = og_ex_exact(7, g, node_budget=full.nodes_explored)
+    assert again.exact and again.value == full.value == 14
+
+
+def test_needle_larger_than_board():
+    rec = og_ex_exact(4, parse_ordered_graph("n=5;1 2"))
+    assert rec.exact and rec.value == 6 and rec.nodes_explored == 0
+
+
+def test_deep_search_runs_out_of_budget_without_crashing():
+    # 1035 edge slots: one recursion level per slot would pass Python's limit
+    rec = og_ex_exact(46, parse_ordered_graph("n=4;1 3;2 4"), node_budget=5000)
+    assert not rec.exact and rec.nodes_explored == 5000
+    assert rec.value > 0
+
+
+def test_cli_deep_search(tmp_path, capsys):
+    code = main(["og-ex", "--graph", "n=4;1 3;2 4", "--n", "60", "--budget", "2000",
+                 "--cache", str(tmp_path / "c.jsonl")])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["exact"] is False and doc["nodes_explored"] == 2000
