@@ -76,18 +76,21 @@ class CacheStore:
 
     def compact(self) -> int:
         """Rewrite the file keeping only the best record per key triple.
-        Returns the number of records kept."""
+        Returns the number of records kept.  The scan and the rewrite happen
+        under one lock hold, so no record appended meanwhile is lost."""
         best: dict[tuple[str, str, int], ExRecord] = {}
         order: list[tuple[str, str, int]] = []
-        for rec in self._iter_records():
-            triple = (rec.pattern_key, rec.kind, rec.n)
-            if triple not in best:
-                order.append(triple)
-            best[triple] = self._better(best.get(triple), rec)
-        lines = "".join(
-            json.dumps(best[triple].to_json_dict()) + "\n" for triple in order
-        )
-        self._rewrite_locked(lines)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self._lock_handle():
+            for rec in self._iter_records():
+                triple = (rec.pattern_key, rec.kind, rec.n)
+                if triple not in best:
+                    order.append(triple)
+                best[triple] = self._better(best.get(triple), rec)
+            lines = "".join(
+                json.dumps(best[triple].to_json_dict()) + "\n" for triple in order
+            )
+            self._rewrite_locked(lines)
         return len(order)
 
     def _lock_handle(self):
@@ -109,9 +112,8 @@ class CacheStore:
             fh.write(text.encode("utf-8"))
 
     def _rewrite_locked(self, text: str) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self._lock_handle():
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, self.path)
+        """Replace the file's contents with text; the caller holds the lock."""
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, self.path)

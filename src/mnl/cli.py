@@ -42,6 +42,7 @@ from .patterns import (
 )
 from .pipeline import (
     _col_range,
+    _count_bound,
     enumerate_candidates,
     enumerate_og_candidates,
     known_mnl_2row,
@@ -49,7 +50,7 @@ from .pipeline import (
     og_count_bound,
     seq_count_bound,
 )
-from .records import DEFAULT_NODE_BUDGET, ExRecord
+from .records import DEFAULT_NODE_BUDGET
 from .sequences import (
     ABABA,
     Sequence,
@@ -124,18 +125,6 @@ def _resolve_cache(args: argparse.Namespace) -> CacheStore:
     return CacheStore(path)
 
 
-def _cached_compute(args, key: str, kind: str, n: int, compute) -> tuple[ExRecord, str]:
-    store = _resolve_cache(args)
-    hit = store.get(key, kind, n)
-    if hit is not None and hit.exact:
-        return hit, "cache"
-    record = compute()
-    store.put(record)
-    if hit is not None and not record.exact and hit.value >= record.value:
-        return hit, "cache"
-    return record, "computed"
-
-
 def _default_seq_cap(args) -> int:
     if args.cap is not None:
         return args.cap
@@ -164,44 +153,22 @@ def _cmd_contains(args, out) -> int:
     return 0
 
 
-def _record_doc(record: ExRecord, source: str) -> dict[str, Any]:
-    doc = record.to_json_dict()
-    doc["source"] = source
-    return doc
-
-
-def _finish_record(args, record: ExRecord, source: str, out) -> int:
-    _emit_one(_record_doc(record, source), args.format, out)
-    if args.require_exact and not record.exact:
-        return 2
-    return 0
-
-
-def _cmd_ex(args, out) -> int:
-    p = _load_pattern(args.pattern)
-    key = canonical_key(p)
-    record, source = _cached_compute(
-        args, key, "matrix", args.n, lambda: ex_branch_bound(args.n, p, args.budget)
-    )
-    return _finish_record(args, record, source, out)
-
-
-def _cmd_seq_ex(args, out) -> int:
-    u = parse_sequence(args.sequence)
-    record, source = _cached_compute(
-        args, format_sequence(u), "sequence", args.n,
-        lambda: seq_ex_exact(u, args.n, args.budget),
-    )
-    return _finish_record(args, record, source, out)
-
-
-def _cmd_og_ex(args, out) -> int:
-    g = _load_graph(args.graph)
-    record, source = _cached_compute(
-        args, og_key(g), "ordered-graph", args.n,
-        lambda: og_ex_exact(args.n, g, args.budget),
-    )
-    return _finish_record(args, record, source, out)
+def _cmd_solve(args, out) -> int:
+    """ex, seq-ex and og-ex: answer from a cached exact record, else run the
+    subcommand's solver and cache what it found."""
+    target = args.load(args.target)
+    key = args.key(target)
+    store = _resolve_cache(args)
+    hit = store.get(key, args.kind, args.n)
+    if hit is not None and hit.exact:
+        record, source = hit, "cache"
+    else:
+        record, source = args.solve(args.n, target, args.budget), "computed"
+        store.put(record)
+        if hit is not None and not record.exact and hit.value >= record.value:
+            record, source = hit, "cache"
+    _emit_one({**record.to_json_dict(), "source": source}, args.format, out)
+    return 2 if args.require_exact and not record.exact else 0
 
 
 def _parse_vertex_list(text: str) -> frozenset[int]:
@@ -247,14 +214,6 @@ def _cmd_transform(args, out) -> int:
     return 0
 
 
-def _check_enum_k(args) -> None:
-    if args.k > DEFAULT_ENUM_K_CAP and not args.allow_large_k:
-        raise InvalidInputError(
-            f"k={args.k} exceeds the default cap {DEFAULT_ENUM_K_CAP}; the candidate "
-            "count grows like the bound formula, pass --allow-large-k to proceed"
-        )
-
-
 def _cmd_enum(args, out) -> int:
     if args.mode == "seq":
         cap = _default_seq_cap(args)
@@ -263,10 +222,21 @@ def _cmd_enum(args, out) -> int:
         )
         _emit(docs, args.format, out)
         return 0
-    _check_enum_k(args)
     lo, hi = _col_range(args.k)
     col_min = args.col_min if args.col_min is not None else lo
     col_max = args.col_max if args.col_max is not None else hi
+    # a range outside [lo, hi] is refused by the enumeration itself.  Each
+    # term of the bound is at least 2^(i-1), so a range starting past the
+    # budget's bit length is refused before its huge terms are computed.
+    first, last = max(col_min, lo), min(col_max, hi)
+    if first <= last and (
+        first > args.budget.bit_length()
+        or _count_bound(args.k, first, last, args.mode == "og") > args.budget
+    ):
+        raise InvalidInputError(
+            f"enum {args.mode} --k {args.k}: the count bound over columns "
+            f"[{col_min}, {col_max}] exceeds --budget {args.budget}"
+        )
     if args.mode == "matrix":
         reports = enumerate_candidates(args.k, col_min, col_max)
     else:
@@ -321,7 +291,10 @@ def _cmd_compact(args, out) -> int:
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--cache", default=None, help="cache path (default $MNL_CACHE or ./mnl-cache.jsonl)")
-    common.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
+    common.add_argument(
+        "--budget", type=int, default=DEFAULT_NODE_BUDGET,
+        help="search node budget; enum matrix|og refuses a candidate-count bound above it",
+    )
     common.add_argument("--format", choices=("json", "tsv"), default="json")
     common.add_argument("--require-exact", action="store_true", help="exit 2 if a result is inexact")
 
@@ -334,20 +307,20 @@ def build_parser() -> _Parser:
     sp.add_argument("--needle", required=True)
     sp.set_defaults(handler=_cmd_contains)
 
-    sp = sub.add_parser("ex", parents=[common], help="matrix extremal value")
-    sp.add_argument("--pattern", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_ex)
-
-    sp = sub.add_parser("seq-ex", parents=[common], help="sequence extremal length")
-    sp.add_argument("--sequence", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_seq_ex)
-
-    sp = sub.add_parser("og-ex", parents=[common], help="ordered-graph extremal edge count")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_og_ex)
+    # The solvers look the engines up by name at call time, so a caller that
+    # rebinds mnl.cli.ex_branch_bound (say, to trace it) reaches the CLI.
+    for name, flag, kind, load, key, solve, about in (
+        ("ex", "--pattern", "matrix", _load_pattern, canonical_key,
+         lambda n, p, budget: ex_branch_bound(n, p, budget), "matrix extremal value"),
+        ("seq-ex", "--sequence", "sequence", parse_sequence, format_sequence,
+         lambda n, u, budget: seq_ex_exact(u, n, budget), "sequence extremal length"),
+        ("og-ex", "--graph", "ordered-graph", _load_graph, og_key,
+         lambda n, g, budget: og_ex_exact(n, g, budget), "ordered-graph extremal edge count"),
+    ):
+        sp = sub.add_parser(name, parents=[common], help=about)
+        sp.add_argument(flag, dest="target", metavar=flag[2:].upper(), required=True)
+        sp.add_argument("--n", type=int, required=True)
+        sp.set_defaults(handler=_cmd_solve, kind=kind, load=load, key=key, solve=solve)
 
     sp = sub.add_parser("reduce", parents=[common], help="structural reductions")
     sp.add_argument("kind", choices=("leftmost", "scan", "og-smallest", "og-bipartite"))
@@ -378,7 +351,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--col-min", type=int, default=None)
     sp.add_argument("--col-max", type=int, default=None)
     sp.add_argument("--cap", type=int, default=None, help="run cap for sequence enumeration")
-    sp.add_argument("--allow-large-k", action="store_true")
     sp.set_defaults(handler=_cmd_enum)
 
     sp = sub.add_parser("bounds", parents=[common], help="counting bound formulas")

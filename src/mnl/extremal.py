@@ -23,14 +23,20 @@ instead of failing when the node budget runs out.
 """
 from __future__ import annotations
 
-import time
 from itertools import product
 from math import comb
 
 from .automaton import completion_table, matrix_tables
 from .errors import InvalidInputError
 from .patterns import Pattern01, _embed, canonical_key
-from .records import DEFAULT_NODE_BUDGET, ExRecord, GrowthReport, classify_increments
+from .records import (
+    DEFAULT_NODE_BUDGET,
+    BudgetExhausted,
+    ExRecord,
+    GrowthReport,
+    classify_increments,
+    run_search,
+)
 
 _ORACLE_MAX_N = 4
 
@@ -59,65 +65,48 @@ def ex_exhaustive(n: int, p: Pattern01) -> int:
     return best
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def ex_branch_bound(
     n: int, p: Pattern01, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ExRecord:
     """Branch-and-bound ex(n, p).  exact=True iff the tree was exhausted."""
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
     _require_nonempty(p)
     k, m = p.num_rows, p.num_cols
-    start = time.monotonic()
-    tables = matrix_tables(p.col_masks, k, n)
-    best = 0 if tables else n * n  # with no k board rows no copy of p fits
-    nodes = 0
-    exact = True
-    if tables:
+
+    def search(budget: int) -> tuple[int, int, bool]:
+        tables = matrix_tables(p.col_masks, k, n)
+        if not tables:
+            return n * n, 0, True  # with no k board rows no copy of p fits
         pcs = [bin(mask).count("1") for mask in range(1 << n)]
         candidates = sorted(range(1 << n), key=lambda mask: (-pcs[mask], mask))
         comp = completion_table(p.col_masks, k, n)
         per_row = comb(n - 1, k - 1)  # tracks through any one board row
+        best = nodes = 0
 
-    def rec(ones: int, remaining: int, states: list[int]) -> None:
-        nonlocal best, nodes
-        if remaining == 0:
-            if ones > best:
-                best = ones
-            return
-        if ones + sum(map(comp[remaining].__getitem__, states)) // per_row <= best:
-            return
-        # states only grow, so the children's completion is bounded by ours
-        room_after = sum(map(comp[remaining - 1].__getitem__, states)) // per_row
-        rows = [table[s] for table, s in zip(tables, states)]
-        for mask in candidates:
-            if nodes >= node_budget:
-                raise _BudgetExhausted
-            nodes += 1
-            if ones + pcs[mask] + room_after <= best:
-                break  # candidates sorted by popcount, nothing later can win
-            new_states = [row[mask] for row in rows]
-            if m not in new_states:
-                rec(ones + pcs[mask], remaining - 1, new_states)
+        def rec(ones: int, remaining: int, states: list[int]) -> None:
+            nonlocal best, nodes
+            if remaining == 0:
+                if ones > best:
+                    best = ones
+                return
+            if ones + sum(map(comp[remaining].__getitem__, states)) // per_row <= best:
+                return
+            # states only grow, so the children's completion is bounded by ours
+            room_after = sum(map(comp[remaining - 1].__getitem__, states)) // per_row
+            rows = [table[s] for table, s in zip(tables, states)]
+            for mask in candidates:
+                if nodes >= budget:
+                    raise BudgetExhausted(best, nodes)
+                nodes += 1
+                if ones + pcs[mask] + room_after <= best:
+                    break  # candidates sorted by popcount, nothing later can win
+                new_states = [row[mask] for row in rows]
+                if m not in new_states:
+                    rec(ones + pcs[mask], remaining - 1, new_states)
 
-    if tables:
-        try:
-            rec(0, n, [0] * len(tables))
-        except _BudgetExhausted:
-            exact = False
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    return ExRecord(
-        pattern_key=canonical_key(p),
-        kind="matrix",
-        n=n,
-        value=best,
-        exact=exact,
-        nodes_explored=nodes,
-        elapsed_ms=elapsed_ms,
-    )
+        rec(0, n, [0] * len(tables))
+        return best, nodes, True
+
+    return run_search("matrix", canonical_key(p), n, node_budget, search)
 
 
 def growth_records(

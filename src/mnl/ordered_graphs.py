@@ -20,14 +20,13 @@ variant (used for cache keys and tsv cells).
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .errors import InvalidInputError, InvalidTransformationError
 from .patterns import Pattern01, canonical_key
-from .records import DEFAULT_NODE_BUDGET, ExRecord
+from .records import DEFAULT_NODE_BUDGET, ExRecord, run_search
 
 
 @dataclass(frozen=True)
@@ -268,34 +267,26 @@ def og_ex_exact(
     vertex fewer, and a budget overrun before the last search still
     reports a board that exists on n vertices.
     """
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
     if not g.edges:
         raise InvalidInputError("forbidden graph needs at least one edge")
-    start = time.monotonic()
     k = g.num_vertices
-    ceiling = [comb(m, 2) for m in range(n + 1)]  # upper bounds on ex_<(m, g)
     grows = max(b for _, b in g.edges) == k  # g's last vertex has an edge
-    value, nodes, exact = ceiling[n], 0, True  # stands when g outgrows the board
-    for m in range(k, n + 1):
-        seed = value if grows and m > k else 0
-        value, used, exact = _og_search(m, g, ceiling, seed, node_budget - nodes)
-        nodes += used
-        if not exact:
-            if m < n and not grows:
-                value = 0  # a board on m < n vertices proves nothing about n
-            break
-        ceiling[m] = value
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    return ExRecord(
-        pattern_key=og_key(g),
-        kind="ordered-graph",
-        n=n,
-        value=value,
-        exact=exact,
-        nodes_explored=nodes,
-        elapsed_ms=elapsed_ms,
-    )
+
+    def search(budget: int) -> tuple[int, int, bool]:
+        ceiling = [comb(m, 2) for m in range(n + 1)]  # upper bounds on ex_<(m, g)
+        value, nodes, exact = ceiling[n], 0, True  # stands when g outgrows the board
+        for m in range(k, n + 1):
+            seed = value if grows and m > k else 0
+            value, used, exact = _og_search(m, g, ceiling, seed, budget - nodes)
+            nodes += used
+            if not exact:
+                if m < n and not grows:
+                    value = 0  # a board on m < n vertices proves nothing about n
+                break
+            ceiling[m] = value
+        return value, nodes, exact
+
+    return run_search("ordered-graph", og_key(g), n, node_budget, search)
 
 
 # ---------------------------------------------------------------------------

@@ -249,8 +249,17 @@ def matrix_count_bound(k: int) -> int:
     k rows, summed over the admissible column counts."""
     if k < 2:
         raise InvalidInputError(f"k must be >= 2, got {k}")
-    lo, hi = _col_range(k)
-    return sum((i**k - (i - 1) ** k) * k ** (i - 1) for i in range(lo, hi + 1))
+    return _count_bound(k, *_col_range(k), interleaved=False)
+
+
+def _count_bound(k: int, col_min: int, col_max: int, interleaved: bool) -> int:
+    """The counting bound for k-row matrices summed over the column counts
+    col_min..col_max; interleaved multiplies each term by the number of
+    interleavings of an ordered graph's two parts."""
+    return sum(
+        (comb(k + i, k) if interleaved else 1) * (i**k - (i - 1) ** k) * k ** (i - 1)
+        for i in range(col_min, col_max + 1)
+    )
 
 
 def seq_count_bound(k: int, ex_ababa_k: int) -> int:
@@ -269,11 +278,7 @@ def og_count_bound(k: int) -> int:
     interleavings of the two parts."""
     if k < 2:
         raise InvalidInputError(f"k must be >= 2, got {k}")
-    lo, hi = _col_range(k)
-    return sum(
-        comb(k + i, k) * (i**k - (i - 1) ** k) * k ** (i - 1)
-        for i in range(lo, hi + 1)
-    )
+    return _count_bound(k, *_col_range(k), interleaved=True)
 
 
 @lru_cache(maxsize=1)

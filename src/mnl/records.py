@@ -1,8 +1,12 @@
-"""Result records shared by the matrix, sequence, and ordered-graph engines."""
+"""Result records shared by the matrix, sequence, and ordered-graph engines,
+and the driver that runs each engine's search and builds its record."""
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
+
+from .errors import InvalidInputError
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -58,6 +62,34 @@ class ExRecord:
             nodes_explored=int(d["nodes_explored"]),
             elapsed_ms=int(d["elapsed_ms"]),
         )
+
+
+class BudgetExhausted(Exception):
+    """Raised by a search whose node budget ran out, with the best value
+    found and the nodes spent: BudgetExhausted(value, nodes)."""
+
+
+def run_search(
+    kind: str,
+    key: str,
+    n: int,
+    node_budget: int,
+    search: Callable[[int], tuple[int, int, bool]],
+) -> ExRecord:
+    """Run search(node_budget) -> (value, nodes, exact) on a board of size n
+    and return its timed record.  A search may also stop by raising
+    BudgetExhausted(value, nodes), which records an inexact value."""
+    if n < 1:
+        raise InvalidInputError(f"n must be >= 1, got {n}")
+    if node_budget < 0:
+        raise InvalidInputError(f"node budget must be >= 0, got {node_budget}")
+    start = time.monotonic()
+    try:
+        value, nodes, exact = search(node_budget)
+    except BudgetExhausted as stop:
+        (value, nodes), exact = stop.args, False
+    elapsed_ms = int((time.monotonic() - start) * 1000)
+    return ExRecord(key, kind, n, value, exact, nodes, elapsed_ms)
 
 
 @dataclass(frozen=True)

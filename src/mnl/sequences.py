@@ -18,13 +18,12 @@ and "aba" denote the same value.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .automaton import sequence_tables
 from .errors import InvalidInputError, InvalidTransformationError
-from .records import DEFAULT_NODE_BUDGET, ExRecord
+from .records import DEFAULT_NODE_BUDGET, BudgetExhausted, ExRecord, run_search
 
 ABABA = (1, 2, 1, 2, 1)
 
@@ -154,10 +153,6 @@ def blocks(u: Sequence) -> BlockDecomposition:
     return BlockDecomposition(tuple(runs))
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> ExRecord:
     """Exact maximum length of a u-avoiding sequence over at most n symbols
     in which every r consecutive letters are distinct (r = u's alphabet).
@@ -166,52 +161,39 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     the symbol-renaming symmetry, which is sound because both the window
     constraint and containment are isomorphism-invariant.
     """
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
-    start = time.monotonic()
     r = u.alphabet_size
     m = len(u.letters)
-    tables = sequence_tables(u.letters, n)
-    best = 0
-    nodes = 0
-    exact = True
-    seq: list[int] = []
 
-    def rec(max_sym: int, states: list[int]) -> None:
-        nonlocal best, nodes
-        rows = [table[s] for table, s in zip(tables, states)]
-        for x in range(1, min(max_sym + 1, n) + 1):
-            if nodes >= node_budget:
-                raise _BudgetExhausted
-            nodes += 1
-            if len(seq) >= r - 1:
-                window = seq[len(seq) - (r - 1):]
-                window.append(x)
-                if len(set(window)) != r:
+    def search(budget: int) -> tuple[int, int, bool]:
+        tables = sequence_tables(u.letters, n)
+        best = nodes = 0
+        seq: list[int] = []
+
+        def rec(max_sym: int, states: list[int]) -> None:
+            nonlocal best, nodes
+            rows = [table[s] for table, s in zip(tables, states)]
+            for x in range(1, min(max_sym + 1, n) + 1):
+                if nodes >= budget:
+                    raise BudgetExhausted(best, nodes)
+                nodes += 1
+                if len(seq) >= r - 1:
+                    window = seq[len(seq) - (r - 1):]
+                    window.append(x)
+                    if len(set(window)) != r:
+                        continue
+                new_states = [row[x] for row in rows]
+                if m in new_states:
                     continue
-            new_states = [row[x] for row in rows]
-            if m in new_states:
-                continue
-            seq.append(x)
-            if len(seq) > best:
-                best = len(seq)
-            rec(max(max_sym, x), new_states)
-            seq.pop()
+                seq.append(x)
+                if len(seq) > best:
+                    best = len(seq)
+                rec(max(max_sym, x), new_states)
+                seq.pop()
 
-    try:
         rec(0, [0] * len(tables))
-    except _BudgetExhausted:
-        exact = False
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    return ExRecord(
-        pattern_key=format_sequence(u),
-        kind="sequence",
-        n=n,
-        value=best,
-        exact=exact,
-        nodes_explored=nodes,
-        elapsed_ms=elapsed_ms,
-    )
+        return best, nodes, True
+
+    return run_search("sequence", format_sequence(u), n, node_budget, search)
 
 
 def insert_repeat(u: Sequence, symbol: int, gap_index: int) -> Sequence:

@@ -35,6 +35,26 @@ def _slow_exact_put(path, value, start, outcomes):
         outcomes.put("refused")
 
 
+def _slow_compact(path, start):
+    """Compact with a pause between reading the file and rewriting it."""
+    scan = CacheStore._iter_records
+
+    def slow_scan(self):
+        records = list(scan(self))
+        time.sleep(0.5)
+        yield from records
+
+    CacheStore._iter_records = slow_scan
+    start.wait()
+    CacheStore(path).compact()
+
+
+def _late_put(path, start):
+    start.wait()
+    time.sleep(0.1)  # lands while the compaction pauses
+    CacheStore(path).put(rec(n=4, value=4))
+
+
 class TestCacheStore:
     def test_put_then_get(self, tmp_path):
         store = CacheStore(tmp_path / "c.jsonl")
@@ -87,6 +107,21 @@ class TestCacheStore:
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert CacheStore(path).get("1/1", "matrix", 3).value == json.loads(lines[0])["value"]
+
+    def test_put_during_compact_is_kept(self, tmp_path):
+        ctx = multiprocessing.get_context("spawn")
+        path = tmp_path / "c.jsonl"
+        CacheStore(path).put(rec(n=3))
+        start = ctx.Barrier(2)
+        workers = [ctx.Process(target=job, args=(path, start)) for job in (_slow_compact, _late_put)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+            assert w.exitcode == 0
+        store = CacheStore(path)
+        assert store.get("1/1", "matrix", 3) == rec(n=3)
+        assert store.get("1/1", "matrix", 4) == rec(n=4, value=4)
 
     def test_put_after_torn_line_is_kept(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -238,7 +273,20 @@ class TestCliBasics:
 
     def test_enum_k_cap(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "enum", "matrix", "--k", "5", *cache_args(tmp_path))
-        assert code == 1 and "--allow-large-k" in err
+        assert code == 1 and "--budget" in err
+
+    # k=100000 is refused before its bound, with terms of millions of digits, is built
+    @pytest.mark.parametrize("mode, k", [("matrix", "4"), ("og", "3"), ("og", "100000")])
+    def test_enum_count_bound_above_budget_refused(self, tmp_path, capsys, mode, k):
+        code, out, err = run_cli(capsys, "enum", mode, "--k", k, *cache_args(tmp_path))
+        assert code == 1 and out == "" and "--budget 100000000" in err
+
+    def test_enum_budget_bounds_the_requested_columns(self, tmp_path, capsys):
+        # k=2 over columns 1..3 may screen 27 candidates (579 over all columns)
+        argv = ["enum", "matrix", "--k", "2", "--col-max", "3", *cache_args(tmp_path)]
+        assert run_cli(capsys, *argv, "--budget", "26")[0] == 1
+        code, out, _ = run_cli(capsys, *argv, "--budget", "27")
+        assert code == 0 and out
 
     def test_compact_subcommand(self, tmp_path, capsys):
         run_cli(capsys, "ex", "--pattern", "11", "--n", "3", *cache_args(tmp_path))

@@ -1,0 +1,75 @@
+"""The search driver shared by the three exact engines: what a node budget
+means, the refusal of a negative one, and the names the benchmark's traced
+run rebinds to count engine nodes through the CLI."""
+from pathlib import Path
+
+import pytest
+
+import mnl.cli
+from mnl.errors import InvalidInputError
+from mnl.extremal import ex_branch_bound
+from mnl.ordered_graphs import og_ex_exact, parse_ordered_graph
+from mnl.patterns import parse_pattern
+from mnl.records import DEFAULT_NODE_BUDGET
+from mnl.sequences import parse_sequence, seq_ex_exact
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+ENGINES = {
+    "matrix": lambda budget: ex_branch_bound(4, parse_pattern("11/11"), budget),
+    "sequence": lambda budget: seq_ex_exact(parse_sequence("ababa"), 3, budget),
+    "ordered-graph": lambda budget: og_ex_exact(
+        6, parse_ordered_graph("n=4;1 3;1 4;2 3;2 4"), budget
+    ),
+}
+
+CLI_RUNS = (
+    ("ex", "--pattern", "11/11", "--n", "3"),
+    ("seq-ex", "--sequence", "ababa", "--n", "3"),
+    ("og-ex", "--graph", "n=4;1 3;1 4;2 3;2 4", "--n", "5"),
+)
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_budget_counts_nodes_alike_in_every_engine(kind):
+    solve = ENGINES[kind]
+    full = solve(DEFAULT_NODE_BUDGET)
+    assert full.kind == kind and full.exact and full.nodes_explored > 0
+    again = solve(full.nodes_explored)
+    assert again.exact
+    assert (again.value, again.nodes_explored) == (full.value, full.nodes_explored)
+    for budget in range(full.nodes_explored):
+        rec = solve(budget)
+        assert not rec.exact and rec.nodes_explored <= budget and rec.value <= full.value
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_negative_budget_refused(kind):
+    with pytest.raises(InvalidInputError, match="budget"):
+        ENGINES[kind](-5)
+
+
+def test_cli_negative_budget_refused_before_the_cache_is_touched(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    assert mnl.cli.main(["ex", "--pattern", "11", "--n", "2", "--cache", str(cache)]) == 0
+    before = cache.read_bytes()
+    for argv in CLI_RUNS:
+        code = mnl.cli.main([*argv, "--budget", "-5", "--cache", str(cache)])
+        assert code == 1 and "budget" in capsys.readouterr().err
+    assert cache.read_bytes() == before
+
+
+def test_benchmark_hooks_count_engine_nodes_through_the_cli(tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from tracer import Tracer
+
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        for argv in CLI_RUNS:
+            assert mnl.cli.main([*argv, "--cache", str(tmp_path / "c.jsonl")]) == 0
+    finally:
+        tracer.restore()
+    for layer in ("extremal", "sequences", "ordered_graphs"):
+        assert tracer.counters[f"{layer}.nodes"] > 0, layer
