@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from math import lgamma, log, log10
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -142,17 +143,6 @@ def _default_seq_cap(args) -> int:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_contains(args, out) -> int:
-    if args.mode == "matrix":
-        result = contains(_load_pattern(args.haystack), _load_pattern(args.needle))
-    elif args.mode == "seq":
-        result = seq_contains(parse_sequence(args.haystack), parse_sequence(args.needle))
-    else:
-        result = og_contains(_load_graph(args.haystack), _load_graph(args.needle))
-    _emit_one({"mode": args.mode, "contains": result}, args.format, out)
-    return 0
-
-
 def _cmd_solve(args, out) -> int:
     """ex, seq-ex and og-ex: answer from a cached exact record, else run the
     subcommand's solver and cache what it found."""
@@ -171,57 +161,17 @@ def _cmd_solve(args, out) -> int:
     return 2 if args.require_exact and not record.exact else 0
 
 
-def _parse_vertex_list(text: str) -> frozenset[int]:
+def _reduce_og_bipartite(args) -> list[dict[str, Any]]:
+    g = _load_graph(args.graph)
     try:
-        return frozenset(int(tok) for tok in text.split(",") if tok.strip())
+        part_u = frozenset(int(tok) for tok in args.part_u.split(",") if tok.strip())
     except ValueError as exc:
-        raise InvalidInputError(f"bad vertex list {text!r}") from exc
+        raise InvalidInputError(f"bad vertex list {args.part_u!r}") from exc
+    part_v = frozenset(range(1, g.num_vertices + 1)) - part_u
+    return [{"graph": str(og_bipartite_reduce(g, Bipartition(part_u, part_v)))}]
 
 
-def _cmd_reduce(args, out) -> int:
-    if args.kind == "leftmost":
-        result = {"pattern": str(reduce_leftmost(_load_pattern(args.pattern)))}
-    elif args.kind == "scan":
-        result = {"sequence": format_sequence(scan_reduction(_load_pattern(args.pattern)))}
-    elif args.kind == "og-smallest":
-        result = {"graph": str(og_reduce_smallest(_load_graph(args.graph)))}
-    else:  # og-bipartite
-        g = _load_graph(args.graph)
-        part_u = _parse_vertex_list(args.part_u)
-        part_v = frozenset(range(1, g.num_vertices + 1)) - part_u
-        result = {"graph": str(og_bipartite_reduce(g, Bipartition(part_u, part_v)))}
-    _emit_one(result, args.format, out)
-    return 0
-
-
-def _cmd_transform(args, out) -> int:
-    if args.kind == "split-column":
-        p = insert_split_column(_load_pattern(args.pattern), args.row, args.col)
-        result = {"pattern": str(p)}
-    elif args.kind == "zero-line":
-        p = insert_zero_line(_load_pattern(args.pattern), args.axis, args.index)
-        result = {"pattern": str(p)}
-    elif args.kind == "insert-repeat":
-        u = insert_repeat(parse_sequence(args.sequence), _parse_symbol(args.symbol), args.gap)
-        result = {"sequence": format_sequence(u)}
-    elif args.kind == "split-vertex":
-        g = og_insert_split_vertex(_load_graph(args.graph), args.left, args.neighbor)
-        result = {"graph": str(g)}
-    else:  # isolated
-        g = og_insert_isolated(_load_graph(args.graph), args.position)
-        result = {"graph": str(g)}
-    _emit_one(result, args.format, out)
-    return 0
-
-
-def _cmd_enum(args, out) -> int:
-    if args.mode == "seq":
-        cap = _default_seq_cap(args)
-        docs = (
-            {"sequence": format_sequence(u)} for u in mnl_seq_candidates(args.k, cap)
-        )
-        _emit(docs, args.format, out)
-        return 0
+def _enum_candidates(args) -> Iterable[dict[str, Any]]:
     lo, hi = _col_range(args.k)
     col_min = args.col_min if args.col_min is not None else lo
     col_max = args.col_max if args.col_max is not None else hi
@@ -241,18 +191,89 @@ def _cmd_enum(args, out) -> int:
         reports = enumerate_candidates(args.k, col_min, col_max)
     else:
         reports = enumerate_og_candidates(args.k, col_min, col_max)
-    _emit((rep.to_json_dict() for rep in reports), args.format, out)
-    return 0
+    return (rep.to_json_dict() for rep in reports)
 
 
-def _cmd_bounds(args, out) -> int:
+def _refuse_unprintable_bound(mode: str, k: int, cap: int | None) -> None:
+    """Refuse, before summing it, a counting bound with more decimal digits
+    than Python converts to text.  The estimate is log10 of a lower bound on
+    the last term of the sum, so a refused bound could never be printed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or k < 2:  # k < 2 is refused by the bound functions
+        return
+    if mode == "seq":
+        digits, flag = log10(2 * k) + (cap - 1) * log10(2 * k - 2), "--cap"
+    else:
+        # the last column count i contributes k^(i-1) (i^k - (i-1)^k) >= k^i (i-1)^(k-1)
+        i = _col_range(k)[1]
+        digits, flag = i * log10(k) + (k - 1) * log10(i - 1), "--k"
+        if mode == "og":  # times the C(k+i, k) interleavings
+            digits += (lgamma(k + i + 1) - lgamma(k + 1) - lgamma(i + 1)) / log(10)
+    if digits >= limit:
+        raise InvalidInputError(f"bounds {mode} --k {k}: the bound has more than {limit} digits; lower {flag}")
+
+
+def _bounds(args) -> list[dict[str, Any]]:
+    cap = _default_seq_cap(args) if args.mode == "seq" else None
+    _refuse_unprintable_bound(args.mode, args.k, cap)
     if args.mode == "matrix":
         value = matrix_count_bound(args.k)
     elif args.mode == "og":
         value = og_count_bound(args.k)
     else:
-        value = seq_count_bound(args.k, _default_seq_cap(args))
-    _emit_one({"mode": args.mode, "k": args.k, "bound": value}, args.format, out)
+        value = seq_count_bound(args.k, cap)
+    return [{"mode": args.mode, "k": args.k, "bound": value}]
+
+
+# The leaves of contains, reduce, transform, enum and bounds, one row each:
+# (command, leaf, operand flags, operation).  A leaf takes exactly its operand
+# flags and prints the documents its operation builds from them.
+_OPERATIONS = (
+    ("contains", "matrix", "--haystack --needle",
+     lambda a: [{"mode": a.mode, "contains": contains(_load_pattern(a.haystack), _load_pattern(a.needle))}]),
+    ("contains", "seq", "--haystack --needle",
+     lambda a: [{"mode": a.mode, "contains": seq_contains(parse_sequence(a.haystack), parse_sequence(a.needle))}]),
+    ("contains", "og", "--haystack --needle",
+     lambda a: [{"mode": a.mode, "contains": og_contains(_load_graph(a.haystack), _load_graph(a.needle))}]),
+    ("reduce", "leftmost", "--pattern",
+     lambda a: [{"pattern": str(reduce_leftmost(_load_pattern(a.pattern)))}]),
+    ("reduce", "scan", "--pattern",
+     lambda a: [{"sequence": format_sequence(scan_reduction(_load_pattern(a.pattern)))}]),
+    ("reduce", "og-smallest", "--graph",
+     lambda a: [{"graph": str(og_reduce_smallest(_load_graph(a.graph)))}]),
+    ("reduce", "og-bipartite", "--graph --part-u", _reduce_og_bipartite),
+    ("transform", "split-column", "--pattern --row --col",
+     lambda a: [{"pattern": str(insert_split_column(_load_pattern(a.pattern), a.row, a.col))}]),
+    ("transform", "zero-line", "--pattern --axis --index",
+     lambda a: [{"pattern": str(insert_zero_line(_load_pattern(a.pattern), a.axis, a.index))}]),
+    ("transform", "insert-repeat", "--sequence --symbol --gap",
+     lambda a: [{"sequence": format_sequence(
+         insert_repeat(parse_sequence(a.sequence), _parse_symbol(a.symbol), a.gap))}]),
+    ("transform", "split-vertex", "--graph --left --neighbor",
+     lambda a: [{"graph": str(og_insert_split_vertex(_load_graph(a.graph), a.left, a.neighbor))}]),
+    ("transform", "isolated", "--graph --position",
+     lambda a: [{"graph": str(og_insert_isolated(_load_graph(a.graph), a.position))}]),
+    ("enum", "matrix", "--k --col-min --col-max", _enum_candidates),
+    ("enum", "seq", "--k --cap",
+     lambda a: ({"sequence": format_sequence(u)} for u in mnl_seq_candidates(a.k, _default_seq_cap(a)))),
+    ("enum", "og", "--k --col-min --col-max", _enum_candidates),
+    ("bounds", "matrix", "--k", _bounds),
+    ("bounds", "seq", "--k --cap", _bounds),
+    ("bounds", "og", "--k", _bounds),
+)
+
+# Operand flags are required and taken as text unless listed here.
+_OPERAND_OPTIONS = {
+    "--part-u": {"help": "comma-separated vertices of the first part"},
+    "--axis": {"choices": ("row", "column")},
+    "--cap": {"type": int, "required": False, "help": "run cap for sequence enumeration"},
+    **dict.fromkeys(("--col-min", "--col-max"), {"type": int, "required": False}),
+    **dict.fromkeys(("--k", "--row", "--col", "--index", "--gap", "--left", "--neighbor", "--position"), {"type": int}),
+}
+
+
+def _cmd_operation(args, out) -> int:
+    _emit(args.operation(args), args.format, out)
     return 0
 
 
@@ -301,11 +322,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="mnl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sp = sub.add_parser("contains", parents=[common], help="containment test")
-    sp.add_argument("mode", choices=("matrix", "seq", "og"))
-    sp.add_argument("--haystack", required=True)
-    sp.add_argument("--needle", required=True)
-    sp.set_defaults(handler=_cmd_contains)
+    def command(name: str, dest: str, about: str):
+        """A command whose first operand picks one of its leaf parsers."""
+        return sub.add_parser(name, help=about).add_subparsers(dest=dest, required=True, parser_class=_Parser)
+
+    groups = {"contains": command("contains", "mode", "containment test")}
 
     # The solvers look the engines up by name at call time, so a caller that
     # rebinds mnl.cli.ex_branch_bound (say, to trace it) reaches the CLI.
@@ -322,42 +343,18 @@ def build_parser() -> _Parser:
         sp.add_argument("--n", type=int, required=True)
         sp.set_defaults(handler=_cmd_solve, kind=kind, load=load, key=key, solve=solve)
 
-    sp = sub.add_parser("reduce", parents=[common], help="structural reductions")
-    sp.add_argument("kind", choices=("leftmost", "scan", "og-smallest", "og-bipartite"))
-    sp.add_argument("--pattern")
-    sp.add_argument("--graph")
-    sp.add_argument("--part-u", help="comma-separated vertices of the first part")
-    sp.set_defaults(handler=_cmd_reduce)
-
-    sp = sub.add_parser("transform", parents=[common], help="pattern transformations")
-    sp.add_argument("kind", choices=("split-column", "zero-line", "insert-repeat", "split-vertex", "isolated"))
-    sp.add_argument("--pattern")
-    sp.add_argument("--graph")
-    sp.add_argument("--sequence")
-    sp.add_argument("--row", type=int)
-    sp.add_argument("--col", type=int)
-    sp.add_argument("--axis", choices=("row", "column"))
-    sp.add_argument("--index", type=int)
-    sp.add_argument("--symbol")
-    sp.add_argument("--gap", type=int)
-    sp.add_argument("--left", type=int)
-    sp.add_argument("--neighbor", type=int)
-    sp.add_argument("--position", type=int)
-    sp.set_defaults(handler=_cmd_transform)
-
-    sp = sub.add_parser("enum", parents=[common], help="candidate streams")
-    sp.add_argument("mode", choices=("matrix", "seq", "og"))
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--col-min", type=int, default=None)
-    sp.add_argument("--col-max", type=int, default=None)
-    sp.add_argument("--cap", type=int, default=None, help="run cap for sequence enumeration")
-    sp.set_defaults(handler=_cmd_enum)
-
-    sp = sub.add_parser("bounds", parents=[common], help="counting bound formulas")
-    sp.add_argument("mode", choices=("matrix", "seq", "og"))
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=None)
-    sp.set_defaults(handler=_cmd_bounds)
+    for name, dest, about in (
+        ("reduce", "kind", "structural reductions"),
+        ("transform", "kind", "pattern transformations"),
+        ("enum", "mode", "candidate streams"),
+        ("bounds", "mode", "counting bound formulas"),
+    ):
+        groups[name] = command(name, dest, about)
+    for group, name, operands, operation in _OPERATIONS:
+        sp = groups[group].add_parser(name, parents=[common])
+        for flag in operands.split():
+            sp.add_argument(flag, **{"required": True, **_OPERAND_OPTIONS.get(flag, {})})
+        sp.set_defaults(handler=_cmd_operation, operation=operation)
 
     sp = sub.add_parser("classify", parents=[common], help="growth report")
     sp.add_argument("--pattern", required=True)

@@ -4,8 +4,8 @@ Conventions used throughout the package:
 
 - positions are 1-indexed, row 1 at the top, column 1 on the left;
 - patterns are stored sparsely as a set of (row, col) one-positions, with
-  per-row and per-column bitmask views materialized for the search kernels
-  (bit r-1 of a column mask means a one in row r, and symmetrically);
+  per-column bitmask views materialized for the search kernels (bit r-1 of
+  a column mask means a one in row r);
 - text format is one '0'/'1' string per row, uniform length, newline
   terminated; a '/' may replace the newline as a single-line variant (used
   for cache keys and tsv cells).
@@ -52,14 +52,6 @@ class Pattern01:
         if not rows:
             raise InvalidInputError("pattern needs at least one row")
         return cls(len(rows), len(rows[0]), ones)
-
-    @cached_property
-    def row_masks(self) -> tuple[int, ...]:
-        """row_masks[r-1] has bit c-1 set iff there is a one at (r, c)."""
-        masks = [0] * self.num_rows
-        for r, c in self.ones:
-            masks[r - 1] |= 1 << (c - 1)
-        return tuple(masks)
 
     @cached_property
     def col_masks(self) -> tuple[int, ...]:

@@ -1,13 +1,17 @@
 import json
 import multiprocessing
+import shlex
+import sys
 import time
 
 import pytest
 
+import mnl.cli
 from mnl.cache import CacheStore
 from mnl.cli import main
 from mnl.ordered_graphs import parse_ordered_graph
 from mnl.patterns import parse_pattern
+from mnl.pipeline import matrix_count_bound, og_count_bound
 from mnl.records import ExRecord
 from mnl.sequences import parse_sequence
 
@@ -166,6 +170,17 @@ def run_cli(capsys, *argv):
 
 def cache_args(tmp_path):
     return ("--cache", str(tmp_path / "cache.jsonl"))
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on int-to-text conversion, 4300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts ints of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 class TestCliBasics:
@@ -351,6 +366,24 @@ class TestCliBasics:
         code, _, err = run_cli(capsys, "bounds", "seq", "--k", "5", *cache_args(tmp_path))
         assert code == 1 and "--cap" in err
 
+    # Refused from a digit estimate alone: summing the bound for --k 10^6
+    # would not finish.
+    @pytest.mark.parametrize("argv, flag", [
+        ("matrix --k 420", "--k"), ("og --k 420", "--k"), ("matrix --k 1000000", "--k"),
+        ("seq --k 2 --cap 20000", "--cap"),
+    ])
+    def test_bounds_too_long_to_print_refused(self, tmp_path, capsys, monkeypatch, digit_limit, argv, flag):
+        for name in ("matrix_count_bound", "og_count_bound", "seq_count_bound"):
+            monkeypatch.setattr(mnl.cli, name, lambda *args: pytest.fail("the bound was computed"))
+        code, out, err = run_cli(capsys, "bounds", *argv.split(), *cache_args(tmp_path))
+        assert code == 1 and out == "" and f"lower {flag}" in err
+
+    # the largest k whose bound has at most 4300 digits is still printed
+    @pytest.mark.parametrize("mode, k, bound", [("matrix", 327, matrix_count_bound), ("og", 305, og_count_bound)])
+    def test_bounds_at_the_digit_limit_printed(self, tmp_path, capsys, digit_limit, mode, k, bound):
+        code, out, _ = run_cli(capsys, "bounds", mode, "--k", str(k), *cache_args(tmp_path))
+        assert code == 0 and json.loads(out)["bound"] == bound(k)
+
 
 class TestCliExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -361,6 +394,33 @@ class TestCliExitCodes:
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "ex", "--pattern", "11")
         assert code == 1
+
+    # Each leaf requires its operands: a missing one is a usage error, not an
+    # exception raised out of main.
+    @pytest.mark.parametrize("argv", [
+        "reduce leftmost",
+        "reduce scan",
+        "reduce og-smallest",
+        'reduce og-bipartite --graph "n=4;1 3;2 4"',
+        "transform split-column --row 1 --col 1",
+        "transform split-column --pattern 11/11",
+        "transform zero-line --pattern 11 --axis column",
+        "transform insert-repeat --sequence abab --gap 2",
+        "transform split-vertex --left 1 --neighbor 3",
+        "transform isolated --position 1",
+    ])
+    def test_missing_operand_refused(self, tmp_path, capsys, argv):
+        code, out, err = run_cli(capsys, *shlex.split(argv), *cache_args(tmp_path))
+        assert code == 1 and out == "" and "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        'transform isolated --graph "n=2;1 2" --position 1 --row 7',
+        "enum matrix --k 2 --cap 3",
+        "bounds matrix --k 2 --cap 9",
+    ])
+    def test_flag_of_another_operation_refused(self, tmp_path, capsys, argv):
+        code, out, err = run_cli(capsys, *shlex.split(argv), *cache_args(tmp_path))
+        assert code == 1 and out == "" and "unrecognized arguments" in err
 
     def test_invalid_pattern_text(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "ex", "--pattern", "1x", "--n", "3", *cache_args(tmp_path))
