@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from math import lgamma, log, log10
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -41,7 +40,10 @@ from .patterns import (
     reduce_leftmost,
     scan_reduction,
 )
+# matrix_count_bound, og_count_bound and seq_count_bound stay importable
+# from mnl.cli; `bounds` sums through _count_bound, which can stop early.
 from .pipeline import (
+    _check_k,
     _col_range,
     _count_bound,
     enumerate_candidates,
@@ -127,6 +129,7 @@ def _resolve_cache(args: argparse.Namespace) -> CacheStore:
 
 
 def _default_seq_cap(args) -> int:
+    _check_k(args.k)
     if args.cap is not None:
         return args.cap
     if args.k > DEFAULT_ENUM_K_CAP:
@@ -175,14 +178,8 @@ def _enum_candidates(args) -> Iterable[dict[str, Any]]:
     lo, hi = _col_range(args.k)
     col_min = args.col_min if args.col_min is not None else lo
     col_max = args.col_max if args.col_max is not None else hi
-    # a range outside [lo, hi] is refused by the enumeration itself.  Each
-    # term of the bound is at least 2^(i-1), so a range starting past the
-    # budget's bit length is refused before its huge terms are computed.
-    first, last = max(col_min, lo), min(col_max, hi)
-    if first <= last and (
-        first > args.budget.bit_length()
-        or _count_bound(args.k, first, last, args.mode == "og") > args.budget
-    ):
+    # a range outside [lo, hi] is refused by the enumeration itself
+    if _count_bound(args.mode, args.k, max(col_min, lo), min(col_max, hi), args.budget) is None:
         raise InvalidInputError(
             f"enum {args.mode} --k {args.k}: the count bound over columns "
             f"[{col_min}, {col_max}] exceeds --budget {args.budget}"
@@ -194,34 +191,17 @@ def _enum_candidates(args) -> Iterable[dict[str, Any]]:
     return (rep.to_json_dict() for rep in reports)
 
 
-def _refuse_unprintable_bound(mode: str, k: int, cap: int | None) -> None:
-    """Refuse, before summing it, a counting bound with more decimal digits
-    than Python converts to text.  The estimate is log10 of a lower bound on
-    the last term of the sum, so a refused bound could never be printed."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or k < 2:  # k < 2 is refused by the bound functions
-        return
-    if mode == "seq":
-        digits, flag = log10(2 * k) + (cap - 1) * log10(2 * k - 2), "--cap"
-    else:
-        # the last column count i contributes k^(i-1) (i^k - (i-1)^k) >= k^i (i-1)^(k-1)
-        i = _col_range(k)[1]
-        digits, flag = i * log10(k) + (k - 1) * log10(i - 1), "--k"
-        if mode == "og":  # times the C(k+i, k) interleavings
-            digits += (lgamma(k + i + 1) - lgamma(k + 1) - lgamma(i + 1)) / log(10)
-    if digits >= limit:
-        raise InvalidInputError(f"bounds {mode} --k {k}: the bound has more than {limit} digits; lower {flag}")
-
-
 def _bounds(args) -> list[dict[str, Any]]:
-    cap = _default_seq_cap(args) if args.mode == "seq" else None
-    _refuse_unprintable_bound(args.mode, args.k, cap)
-    if args.mode == "matrix":
-        value = matrix_count_bound(args.k)
-    elif args.mode == "og":
-        value = og_count_bound(args.k)
+    """The counting bound, refused once its partial sum has more decimal
+    digits than Python converts to text."""
+    if args.mode == "seq":
+        first, last, flag = 1, _default_seq_cap(args), "--cap"
     else:
-        value = seq_count_bound(args.k, cap)
+        (first, last), flag = _col_range(args.k), "--k"
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    value = _count_bound(args.mode, args.k, first, last, 10**digits - 1 if digits else None)
+    if value is None:
+        raise InvalidInputError(f"bounds {args.mode} --k {args.k}: the bound has more than {digits} digits; lower {flag}")
     return [{"mode": args.mode, "k": args.k, "bound": value}]
 
 

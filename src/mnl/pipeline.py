@@ -69,6 +69,11 @@ class CandidateReport:
         return out
 
 
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise InvalidInputError(f"k must be >= 2, got {k}")
+
+
 def _col_range(k: int) -> tuple[int, int]:
     return -((k + 2) // -4), 4 * k - 2
 
@@ -227,8 +232,7 @@ def enumerate_candidates(
     whose reduced form keeps a multi-one column, so for k = 2 the known
     seven are seeded into the stream alongside the construction.
     """
-    if k < 2:
-        raise InvalidInputError(f"k must be >= 2, got {k}")
+    _check_k(k)
     lo, hi = _col_range(k)
     if not lo <= col_min <= col_max <= hi:
         raise InvalidInputError(
@@ -247,38 +251,43 @@ def enumerate_candidates(
 def matrix_count_bound(k: int) -> int:
     """Upper bound on the number of minimally non-linear 0-1 matrices with
     k rows, summed over the admissible column counts."""
-    if k < 2:
-        raise InvalidInputError(f"k must be >= 2, got {k}")
-    return _count_bound(k, *_col_range(k), interleaved=False)
-
-
-def _count_bound(k: int, col_min: int, col_max: int, interleaved: bool) -> int:
-    """The counting bound for k-row matrices summed over the column counts
-    col_min..col_max; interleaved multiplies each term by the number of
-    interleavings of an ordered graph's two parts."""
-    return sum(
-        (comb(k + i, k) if interleaved else 1) * (i**k - (i - 1) ** k) * k ** (i - 1)
-        for i in range(col_min, col_max + 1)
-    )
+    return _count_bound("matrix", k, *_col_range(k))
 
 
 def seq_count_bound(k: int, ex_ababa_k: int) -> int:
     """Upper bound on the number of minimally non-linear sequences with k
     distinct letters, given a cap on the number of runs."""
-    if k < 2:
-        raise InvalidInputError(f"k must be >= 2, got {k}")
-    if ex_ababa_k < 1:
-        raise InvalidInputError(f"cap must be >= 1, got {ex_ababa_k}")
-    return 2 * k * sum((2 * k - 2) ** (i - 1) for i in range(1, ex_ababa_k + 1))
+    return _count_bound("seq", k, 1, ex_ababa_k)
 
 
 def og_count_bound(k: int) -> int:
     """Upper bound on the number of minimally non-linear bipartite ordered
     graphs with k vertices in one part; the binomial factor counts the
     interleavings of the two parts."""
-    if k < 2:
-        raise InvalidInputError(f"k must be >= 2, got {k}")
-    return _count_bound(k, *_col_range(k), interleaved=True)
+    return _count_bound("og", k, *_col_range(k))
+
+
+def _count_bound(mode: str, k: int, first: int, last: int, limit: int | None = None) -> int | None:
+    """The counting bound of mode ("matrix", "og" or "seq") for k rows or
+    letters, summed over the column counts (run counts for seq) first..last.
+    With a limit, None as soon as the partial sum exceeds it."""
+    _check_k(k)
+    if mode == "seq" and last < 1:
+        raise InvalidInputError(f"cap must be >= 1, got {last}")
+    # every term is at least 2^(i-1) since k >= 2, so a range reaching past
+    # the limit's bit length has a single term above the limit
+    if limit is not None and first <= last and last > limit.bit_length():
+        return None
+    total = 0
+    for i in range(first, last + 1):
+        if mode == "seq":
+            total += 2 * k * (2 * k - 2) ** (i - 1)
+        else:
+            term = (i**k - (i - 1) ** k) * k ** (i - 1)
+            total += comb(k + i, k) * term if mode == "og" else term
+        if limit is not None and total > limit:
+            return None
+    return total
 
 
 @lru_cache(maxsize=1)

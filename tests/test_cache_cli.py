@@ -11,7 +11,7 @@ from mnl.cache import CacheStore
 from mnl.cli import main
 from mnl.ordered_graphs import parse_ordered_graph
 from mnl.patterns import parse_pattern
-from mnl.pipeline import matrix_count_bound, og_count_bound
+from mnl.pipeline import matrix_count_bound, og_count_bound, seq_count_bound
 from mnl.records import ExRecord
 from mnl.sequences import parse_sequence
 
@@ -366,11 +366,11 @@ class TestCliBasics:
         code, _, err = run_cli(capsys, "bounds", "seq", "--k", "5", *cache_args(tmp_path))
         assert code == 1 and "--cap" in err
 
-    # Refused from a digit estimate alone: summing the bound for --k 10^6
+    # Refused before the whole bound is summed: summing it for --k 10^6
     # would not finish.
     @pytest.mark.parametrize("argv, flag", [
         ("matrix --k 420", "--k"), ("og --k 420", "--k"), ("matrix --k 1000000", "--k"),
-        ("seq --k 2 --cap 20000", "--cap"),
+        ("seq --k 2 --cap 20000", "--cap"), ("seq --k 2 --cap 14283", "--cap"),
     ])
     def test_bounds_too_long_to_print_refused(self, tmp_path, capsys, monkeypatch, digit_limit, argv, flag):
         for name in ("matrix_count_bound", "og_count_bound", "seq_count_bound"):
@@ -378,11 +378,20 @@ class TestCliBasics:
         code, out, err = run_cli(capsys, "bounds", *argv.split(), *cache_args(tmp_path))
         assert code == 1 and out == "" and f"lower {flag}" in err
 
-    # the largest k whose bound has at most 4300 digits is still printed
-    @pytest.mark.parametrize("mode, k, bound", [("matrix", 327, matrix_count_bound), ("og", 305, og_count_bound)])
+    # the largest k (or cap) whose bound has at most 4300 digits is still printed
+    @pytest.mark.parametrize("mode, k, bound", [
+        ("matrix", 327, matrix_count_bound), ("og", 305, og_count_bound), ("seq", "2 --cap 14282", seq_count_bound),
+    ])
     def test_bounds_at_the_digit_limit_printed(self, tmp_path, capsys, digit_limit, mode, k, bound):
-        code, out, _ = run_cli(capsys, "bounds", mode, "--k", str(k), *cache_args(tmp_path))
-        assert code == 0 and json.loads(out)["bound"] == bound(k)
+        operands = f"--k {k}".split()
+        code, out, _ = run_cli(capsys, "bounds", mode, *operands, *cache_args(tmp_path))
+        assert code == 0 and json.loads(out)["bound"] == bound(*map(int, operands[1::2]))
+
+    # --k is checked before the default cap runs a search on it
+    @pytest.mark.parametrize("argv", ["enum seq --k -3", "bounds seq --k 0"])
+    def test_seq_k_below_two_refused(self, tmp_path, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split(), *cache_args(tmp_path))
+        assert code == 1 and out == "" and "k must be >= 2" in err and "n must be" not in err
 
 
 class TestCliExitCodes:

@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mnl.errors import InvalidInputError
 from mnl.ordered_graphs import (
@@ -11,6 +12,8 @@ from mnl.ordered_graphs import (
 )
 from mnl.patterns import Pattern01, parse_pattern
 from mnl.pipeline import (
+    _col_range,
+    _count_bound,
     construction_patterns,
     enumerate_candidates,
     enumerate_og_candidates,
@@ -206,6 +209,27 @@ class TestBounds:
             assert og_count_bound(k) == sum_og_bound(k)
             for cap in (1, 4, 7):
                 assert seq_count_bound(k, cap) == sum_seq_bound(k, cap)
+
+    # the sum with a limit is the exact bound when it fits, else None
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(st.sampled_from(("matrix", "og", "seq")), st.integers(2, 5), st.integers(1, 7), st.data())
+    def test_limited_sum_matches_oracles(self, mode, k, cap, data):
+        if mode == "seq":
+            value, first, last = sum_seq_bound(k, cap), 1, cap
+        else:
+            value = (sum_og_bound if mode == "og" else sum_matrix_bound)(k)
+            first, last = _col_range(k)
+        limit = data.draw(st.sampled_from((value - 1, value, value + 1, 0)) | st.integers(0, 2 * value))
+        expected = value if value <= limit else None
+        assert _count_bound(mode, k, first, last, limit) == expected
+        assert _count_bound(mode, k, first, last) == value
+
+    def test_limited_sum_edges(self):
+        # one column: the bound is 1, and its one term reaches the limit's bit length
+        assert _count_bound("matrix", 2, 1, 1, limit=1) == 1
+        assert _count_bound("matrix", 2, 1, 1, limit=0) is None
+        # an empty range sums to 0, whatever the limit
+        assert _count_bound("matrix", 2, 7, 6, limit=-1) == 0
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
