@@ -178,6 +178,8 @@ def _enum_candidates(args) -> Iterable[dict[str, Any]]:
     lo, hi = _col_range(args.k)
     col_min = args.col_min if args.col_min is not None else lo
     col_max = args.col_max if args.col_max is not None else hi
+    if col_min > col_max:
+        raise InvalidInputError(f"enum {args.mode}: --col-min {col_min} exceeds --col-max {col_max}")
     # a range outside [lo, hi] is refused by the enumeration itself
     if _count_bound(args.mode, args.k, max(col_min, lo), min(col_max, hi), args.budget) is None:
         raise InvalidInputError(

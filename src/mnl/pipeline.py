@@ -7,15 +7,21 @@ structural-candidate, nothing stronger: deciding non-linearity is open, and
 no verdict here ever claims it.  The seven known 2-row minimally non-linear
 matrices are recognized exactly (reflections counted as distinct patterns,
 matching how they are usually listed).
+
+The matrix stream does not filter every pattern the counting bound counts:
+it builds the leftmost-one construction column by column and cuts a prefix
+at the first check it fails that more columns cannot mend (a run of 3 or an
+abab in the scan word, a known 2-row matrix contained), then runs
+structural_filter on the survivors only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from math import comb
 from typing import Iterator, Union
 
+from .automaton import matrix_tables, sequence_tables
 from .errors import InvalidInputError
 from .ordered_graphs import (
     Bipartition,
@@ -198,28 +204,89 @@ def structural_filter(p: Pattern01) -> CandidateReport:
     return CandidateReport(pattern=p, checks=tuple(checks), verdict=verdict)
 
 
+class _PrefixScreen:
+    """The checks of structural_filter that a prefix of columns can only keep
+    failing as columns are added, advanced one column at a time: a run of 3
+    or an abab in the scan word, and containment of a known 2-row matrix.
+    The 5k-3 ones cap needs no check: a construction pattern has at most
+    k + num_cols - 1 ones, and num_cols <= 4k - 2.
+
+    A state is (last scan letter as a row bit, its run length, abab track
+    states, known-matrix track states).  The scan word is built left to
+    right, so a prefix's word is a prefix of the full word; its letters stay
+    raw row numbers, since renaming changes neither runs nor abab.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.abab = sequence_tables(ABAB.letters, k)
+        self.known = [t for m in known_mnl_2row() for t in matrix_tables(m.col_masks, 2, k)]
+        self.tracks = self.abab + self.known
+        self.start = (0, 0, (0,) * len(self.abab), (0,) * len(self.known))
+
+    def advance(self, state, mask: int):
+        """The state after one more column, or None once a check fails."""
+        prev, run, abab, known = state
+        # scan_reduction's letter: the topmost one-row other than the last
+        # letter, or the column's only row
+        rest = mask & ~prev or mask
+        letter = rest & -rest
+        run = run + 1 if letter == prev else 1
+        if run >= 3:
+            return None
+        symbol = letter.bit_length()
+        abab = tuple(table[s][symbol] for table, s in zip(self.abab, abab))
+        known = tuple(table[s][mask] for table, s in zip(self.known, known))
+        # a track has found its needle once its state reaches its table's length
+        if any(s == len(table) for table, s in zip(self.tracks, abab + known)):
+            return None
+        return letter, run, abab, known
+
+
+def _construction(k: int, num_cols: int, screen: _PrefixScreen | None = None) -> Iterator[Pattern01]:
+    """The leftmost-one construction built column by column: each column
+    starts some rows that have no one yet (column 1 at least one, the last
+    column all that are left) and adds at most one extra one in a row started
+    further left; a column that starts no row must add one.  Each pattern
+    arises exactly once.
+
+    With a screen, a prefix is cut at the first check it fails; a cut prefix
+    only leads to patterns structural_filter rejects.  On the full width one
+    of the known 2-row matrices is kept, since the filter grants them their
+    exceptions (each contains itself; 1010/0101 and its mirror have an abab).
+    """
+    full = (1 << k) - 1
+    exempt = {m.col_masks for m in known_mnl_2row() if m.num_rows == k}
+
+    def extend(masks: tuple[int, ...], started: int, state) -> Iterator[Pattern01]:
+        last = len(masks) + 1 == num_cols
+        unstarted = full & ~started
+        if last:
+            starts = [unstarted]
+        else:
+            starts = [s for s in range(unstarted + 1) if s & unstarted == s and (s or masks)]
+        held = [1 << r for r in range(k) if started >> r & 1]
+        for new in starts:
+            for extra in held + ([0] if new else []):
+                cols = masks + (new | extra,)
+                nxt = screen.advance(state, cols[-1]) if screen else state
+                if nxt is None and not (last and cols in exempt):
+                    continue
+                if last:
+                    yield Pattern01(k, num_cols, frozenset(
+                        (r + 1, c) for c, m in enumerate(cols, 1) for r in range(k) if m >> r & 1
+                    ))
+                else:
+                    yield from extend(cols, started | new, nxt)
+
+    yield from extend((), 0, screen.start if screen else ())
+
+
 def construction_patterns(k: int, num_cols: int) -> Iterator[Pattern01]:
     """Raw generator behind the counting bound: pick each row's leftmost-one
     column (column 1 must host at least one of them), then give every later
     column at most one extra one in a row whose leftmost lies further left.
     Each generated pattern arises exactly once."""
-    i = num_cols
-    for profile in product(range(1, i + 1), repeat=k):
-        if 1 not in profile:
-            continue
-        options: list[list[int | None]] = []
-        for c in range(2, i + 1):
-            opts: list[int | None] = [row + 1 for row in range(k) if profile[row] < c]
-            if any(lc == c for lc in profile):
-                opts.append(None)
-            options.append(opts)
-        base = frozenset((row + 1, lc) for row, lc in enumerate(profile))
-        for extras in product(*options):
-            ones = set(base)
-            for c, row in enumerate(extras, start=2):
-                if row is not None:
-                    ones.add((row, c))
-            yield Pattern01(k, i, frozenset(ones))
+    return _construction(k, num_cols)
 
 
 def enumerate_candidates(
@@ -228,9 +295,13 @@ def enumerate_candidates(
     """Stream non-rejected candidate reports for k-row patterns with column
     counts in [col_min, col_max], in column-count-then-row-string order.
 
-    The leftmost-one reconstruction cannot reach the three known matrices
-    whose reduced form keeps a multi-one column, so for k = 2 the known
-    seven are seeded into the stream alongside the construction.
+    The construction is built column by column, and a prefix is cut at the
+    first monotone check of structural_filter it fails (_PrefixScreen), so
+    only the survivors are filtered; the stream is the same as filtering
+    every construction pattern.  The leftmost-one reconstruction cannot
+    reach the three known matrices whose reduced form keeps a multi-one
+    column, so for k = 2 the known seven are seeded into the stream
+    alongside the construction.
     """
     _check_k(k)
     lo, hi = _col_range(k)
@@ -238,8 +309,9 @@ def enumerate_candidates(
         raise InvalidInputError(
             f"column range [{col_min}, {col_max}] must sit inside [{lo}, {hi}] for k={k}"
         )
+    screen = _PrefixScreen(k)
     for i in range(col_min, col_max + 1):
-        batch = set(construction_patterns(k, i))
+        batch = set(_construction(k, i, screen))
         if k == 2:
             batch.update(m for m in known_mnl_2row() if m.num_cols == i)
         for p in sorted(batch, key=str):

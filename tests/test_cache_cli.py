@@ -11,9 +11,11 @@ from mnl.cache import CacheStore
 from mnl.cli import main
 from mnl.ordered_graphs import parse_ordered_graph
 from mnl.patterns import parse_pattern
-from mnl.pipeline import matrix_count_bound, og_count_bound, seq_count_bound
+from mnl.pipeline import known_mnl_2row, matrix_count_bound, og_count_bound, seq_count_bound
 from mnl.records import ExRecord
 from mnl.sequences import parse_sequence
+
+from oracles import naive_contains
 
 
 def rec(key="1/1", kind="matrix", n=3, value=3, exact=True, nodes=10, ms=1):
@@ -295,6 +297,22 @@ class TestCliBasics:
     def test_enum_count_bound_above_budget_refused(self, tmp_path, capsys, mode, k):
         code, out, err = run_cli(capsys, "enum", mode, "--k", k, *cache_args(tmp_path))
         assert code == 1 and out == "" and "--budget 100000000" in err
+
+    def test_enum_empty_column_range_refused(self, tmp_path, capsys):
+        for mode in ("matrix", "og"):
+            code, out, err = run_cli(
+                capsys, "enum", mode, "--k", "3", "--col-min", "5", "--col-max", "4", *cache_args(tmp_path)
+            )
+            assert code == 1 and out == ""
+            assert "--col-min 5 exceeds --col-max 4" in err
+
+    # the full k=3 range; filtering every construction pattern gives the same 2,129
+    def test_enum_matrix_k3_full_stream(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "enum", "matrix", "--k", "3", *cache_args(tmp_path))
+        assert code == 0
+        patterns = [parse_pattern(json.loads(line)["pattern"]) for line in out.splitlines()]
+        assert len(patterns) == 2129 and len(set(patterns)) == 2129
+        assert not any(naive_contains(p, m) for p in patterns for m in known_mnl_2row())
 
     def test_enum_budget_bounds_the_requested_columns(self, tmp_path, capsys):
         # k=2 over columns 1..3 may screen 27 candidates (579 over all columns)

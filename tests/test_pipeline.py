@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import pytest
@@ -12,7 +13,9 @@ from mnl.ordered_graphs import (
 )
 from mnl.patterns import Pattern01, parse_pattern
 from mnl.pipeline import (
+    _PrefixScreen,
     _col_range,
+    _construction,
     _count_bound,
     construction_patterns,
     enumerate_candidates,
@@ -135,6 +138,27 @@ class TestEnumerate:
             assert len(p.ones) <= 12
             if p not in known_mnl_2row():
                 assert len(p.ones) <= p.num_rows + p.num_cols - 1
+
+    # The stream as it was defined before prefixes were cut: every
+    # construction pattern (for k = 2 with the known seven) through
+    # structural_filter, sorted by row string, rejected reports dropped.
+    # The screened construction alone keeps exactly the constructed
+    # patterns that are not rejected.
+    @pytest.mark.parametrize("k, col_min, col_max", [(2, 1, 6), (3, 2, 6), (4, 2, 3)])
+    def test_stream_equals_filtered_construction(self, k, col_min, col_max):
+        screen = _PrefixScreen(k)
+        expected = []
+        for i in range(col_min, col_max + 1):
+            constructed = set(construction_patterns(k, i))
+            batch = constructed | {m for m in known_mnl_2row() if k == 2 and m.num_cols == i}
+            reports = [structural_filter(p) for p in sorted(batch, key=str)]
+            kept = [r for r in reports if r.verdict != "rejected"]
+            expected += [json.dumps(r.to_json_dict()) for r in kept]
+            screened = list(_construction(k, i, screen))
+            assert len(set(screened)) == len(screened)
+            assert set(screened) == {r.pattern for r in kept} & constructed
+        got = [json.dumps(r.to_json_dict()) for r in enumerate_candidates(k, col_min, col_max)]
+        assert got == expected
 
     def test_construction_injective_and_within_term(self):
         for k, i in ((2, 2), (2, 3), (2, 6), (3, 2), (3, 4)):
