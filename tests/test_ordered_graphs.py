@@ -1,6 +1,8 @@
 import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mnl.errors import InvalidInputError, InvalidTransformationError
 from mnl.ordered_graphs import (
@@ -20,9 +22,14 @@ from mnl.ordered_graphs import (
     realizing_bipartitions,
     underlying_is_k22,
 )
-from mnl.patterns import parse_pattern
+from mnl.patterns import Pattern01, parse_pattern, reflect_horizontal, reflect_vertical
 
-from oracles import naive_interval_chromatic, naive_og_contains, naive_og_ex
+from oracles import (
+    naive_interval_chromatic,
+    naive_og_contains,
+    naive_og_ex,
+    naive_realizing_bipartitions,
+)
 
 G = parse_ordered_graph
 P = parse_pattern
@@ -181,6 +188,75 @@ class TestGoFamily:
     def test_rejects_zero_line(self):
         with pytest.raises(InvalidInputError):
             go_family(P("10/10"))
+
+
+@st.composite
+def graphs_with_patterns(draw):
+    """A graph whose edges mostly cross a drawn 2-colouring, so isolated
+    vertices and several components are common, sometimes with one more
+    edge that may close an odd cycle; and either the edge matrix of that
+    colouring or a small random pattern."""
+    n = draw(st.integers(1, 7))
+    side = [None] + draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    slots = list(combinations(range(1, n + 1), 2))
+    cross = [(u, v) for u, v in slots if side[u] != side[v]]
+    edges = draw(st.sets(st.sampled_from(cross))) if cross else set()
+    if slots and draw(st.booleans()):
+        edges.add(draw(st.sampled_from(slots)))
+    g = OrderedGraph(n, frozenset(edges))
+    rows = [v for v in range(1, n + 1) if side[v] == side[1]]
+    cols = [v for v in range(1, n + 1) if side[v] != side[1]]
+    if cols and draw(st.booleans()):
+        ones = frozenset(
+            (rows.index(u) + 1, cols.index(v) + 1) if u in rows else (rows.index(v) + 1, cols.index(u) + 1)
+            for u, v in edges
+            if side[u] != side[v]
+        )
+        return g, Pattern01(len(rows), len(cols), ones)
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cells = list(product(range(1, r + 1), range(1, c + 1)))
+    return g, Pattern01(r, c, frozenset(draw(st.sets(st.sampled_from(cells)))))
+
+
+def placements(p):
+    """Every ordered graph that puts the rows of p, or of a reflection of
+    p, on some vertex set in increasing order and the columns on the rest."""
+    n = p.num_rows + p.num_cols
+    out = set()
+    for q in (p, reflect_vertical(p), reflect_horizontal(p), reflect_vertical(reflect_horizontal(p))):
+        for rows in combinations(range(1, n + 1), p.num_rows):
+            cols = [v for v in range(1, n + 1) if v not in rows]
+            edges = (sorted((rows[r - 1], cols[c - 1])) for r, c in q.ones)
+            out.add(OrderedGraph(n, frozenset(tuple(e) for e in edges)))
+    return out
+
+
+class TestRealizingBipartitions:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(graphs_with_patterns())
+    def test_matches_subset_oracle_in_order(self, case):
+        g, p = case
+        assert realizing_bipartitions(g, p) == naive_realizing_bipartitions(g, p)
+
+    def test_two_components_give_two_realizations(self):
+        g = G("n=4;1 2;3 4")
+        expected = [
+            Bipartition(frozenset({1, 3}), frozenset({2, 4})),
+            Bipartition(frozenset({1, 4}), frozenset({2, 3})),
+        ]
+        assert realizing_bipartitions(g, P("10/01")) == expected
+        assert naive_realizing_bipartitions(g, P("10/01")) == expected
+        assert g not in go_family(P("10/01"))
+
+    def test_go_family_keeps_exactly_the_unique_realizations(self):
+        for c in range(1, 5):
+            for row_a, row_b in product(product("01", repeat=c), repeat=2):
+                p = P("".join(row_a) + "/" + "".join(row_b))
+                if len({r for r, _ in p.ones}) < 2 or len({cc for _, cc in p.ones}) < c:
+                    continue
+                assert go_family(p) == frozenset(
+                    g for g in placements(p) if len(naive_realizing_bipartitions(g, p)) == 1
+                ), p
 
 
 class TestReductions:

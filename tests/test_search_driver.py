@@ -73,3 +73,21 @@ def test_benchmark_hooks_count_engine_nodes_through_the_cli(tmp_path, capsys, mo
         tracer.restore()
     for layer in ("extremal", "sequences", "ordered_graphs"):
         assert tracer.counters[f"{layer}.nodes"] > 0, layer
+
+
+def test_benchmark_hooks_see_the_og_stream_through_the_cli(capsys, monkeypatch):
+    """Every name the traced benchmark rebinds for the ordered-graph stream
+    must still be looked up there, or its layer silently reads zero."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from tracer import Tracer
+
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        assert mnl.cli.main(["enum", "og", "--k", "2", "--col-max", "3"]) == 0
+    finally:
+        tracer.restore()
+    assert capsys.readouterr().out
+    for name in ("ordered_graphs.go_family", "ordered_graphs.og_contains"):
+        assert tracer.calls(name) > 0, name
