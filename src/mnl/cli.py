@@ -40,8 +40,6 @@ from .patterns import (
     reduce_leftmost,
     scan_reduction,
 )
-# matrix_count_bound, og_count_bound and seq_count_bound stay importable
-# from mnl.cli; `bounds` sums through _count_bound, which can stop early.
 from .pipeline import (
     _check_k,
     _col_range,
@@ -49,9 +47,6 @@ from .pipeline import (
     enumerate_candidates,
     enumerate_og_candidates,
     known_mnl_2row,
-    matrix_count_bound,
-    og_count_bound,
-    seq_count_bound,
 )
 from .records import DEFAULT_NODE_BUDGET
 from .sequences import (
@@ -119,10 +114,6 @@ def _emit(docs: Iterable[dict[str, Any]], fmt: str, out) -> None:
         print("\t".join(_cell(doc.get(col)) for col in header), file=out)
 
 
-def _emit_one(doc: dict[str, Any], fmt: str, out) -> None:
-    _emit([doc], fmt, out)
-
-
 def _resolve_cache(args: argparse.Namespace) -> CacheStore:
     path = args.cache or os.environ.get("MNL_CACHE") or "./mnl-cache.jsonl"
     return CacheStore(path)
@@ -143,25 +134,33 @@ def _default_seq_cap(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# operations
 # ---------------------------------------------------------------------------
 
-def _cmd_solve(args, out) -> int:
+def _solver(kind: str, operand: str, load, key, solve):
     """ex, seq-ex and og-ex: answer from a cached exact record, else run the
-    subcommand's solver and cache what it found."""
-    target = args.load(args.target)
-    key = args.key(target)
-    store = _resolve_cache(args)
-    hit = store.get(key, args.kind, args.n)
-    if hit is not None and hit.exact:
-        record, source = hit, "cache"
-    else:
-        record, source = args.solve(args.n, target, args.budget), "computed"
-        store.put(record)
-        if hit is not None and not record.exact and hit.value >= record.value:
+    solver and cache what it found."""
+    def operation(a) -> list[dict[str, Any]]:
+        target = load(getattr(a, operand))
+        store = _resolve_cache(a)
+        hit = store.get(key(target), kind, a.n)
+        if hit is not None and hit.exact:
             record, source = hit, "cache"
-    _emit_one({**record.to_json_dict(), "source": source}, args.format, out)
-    return 2 if args.require_exact and not record.exact else 0
+        else:
+            record, source = solve(a.n, target, a.budget), "computed"
+            store.put(record)
+            if hit is not None and not record.exact and hit.value >= record.value:
+                record, source = hit, "cache"
+        a.exact = record.exact
+        return [{**record.to_json_dict(), "source": source}]
+    return operation
+
+
+def _classify(a) -> list[dict[str, Any]]:
+    p = _load_pattern(a.pattern)
+    records = growth_records(p, a.n_max, a.budget)
+    a.exact = all(rec.exact for rec in records)
+    return [growth_report_from_records(canonical_key(p), records).to_json_dict()]
 
 
 def _reduce_og_bipartite(args) -> list[dict[str, Any]]:
@@ -207,9 +206,12 @@ def _bounds(args) -> list[dict[str, Any]]:
     return [{"mode": args.mode, "k": args.k, "bound": value}]
 
 
-# The leaves of contains, reduce, transform, enum and bounds, one row each:
-# (command, leaf, operand flags, operation).  A leaf takes exactly its operand
-# flags and prints the documents its operation builds from them.
+# Every command, one row per leaf in `mnl --help` order: (command, leaf,
+# flags, operation).  A row with no leaf is a command of its own.  A leaf
+# takes exactly its row's flags, besides --cache and --format, and prints the
+# documents its operation builds from them.  The solvers look the engines up
+# by name at call time, so a caller that rebinds mnl.cli.ex_branch_bound (say,
+# to trace it) reaches the CLI.
 _OPERATIONS = (
     ("contains", "matrix", "--haystack --needle",
      lambda a: [{"mode": a.mode, "contains": contains(_load_pattern(a.haystack), _load_pattern(a.needle))}]),
@@ -217,6 +219,12 @@ _OPERATIONS = (
      lambda a: [{"mode": a.mode, "contains": seq_contains(parse_sequence(a.haystack), parse_sequence(a.needle))}]),
     ("contains", "og", "--haystack --needle",
      lambda a: [{"mode": a.mode, "contains": og_contains(_load_graph(a.haystack), _load_graph(a.needle))}]),
+    ("ex", None, "--pattern --n --budget --require-exact", _solver(
+        "matrix", "pattern", _load_pattern, canonical_key, lambda n, p, budget: ex_branch_bound(n, p, budget))),
+    ("seq-ex", None, "--sequence --n --budget --require-exact", _solver(
+        "sequence", "sequence", parse_sequence, format_sequence, lambda n, u, budget: seq_ex_exact(u, n, budget))),
+    ("og-ex", None, "--graph --n --budget --require-exact", _solver(
+        "ordered-graph", "graph", _load_graph, og_key, lambda n, g, budget: og_ex_exact(n, g, budget))),
     ("reduce", "leftmost", "--pattern",
      lambda a: [{"pattern": str(reduce_leftmost(_load_pattern(a.pattern)))}]),
     ("reduce", "scan", "--pattern",
@@ -235,56 +243,61 @@ _OPERATIONS = (
      lambda a: [{"graph": str(og_insert_split_vertex(_load_graph(a.graph), a.left, a.neighbor))}]),
     ("transform", "isolated", "--graph --position",
      lambda a: [{"graph": str(og_insert_isolated(_load_graph(a.graph), a.position))}]),
-    ("enum", "matrix", "--k --col-min --col-max", _enum_candidates),
-    ("enum", "seq", "--k --cap",
+    ("enum", "matrix", "--k --col-min --col-max --budget", _enum_candidates),
+    ("enum", "seq", "--k --cap --budget",
      lambda a: ({"sequence": format_sequence(u)} for u in mnl_seq_candidates(a.k, _default_seq_cap(a)))),
-    ("enum", "og", "--k --col-min --col-max", _enum_candidates),
+    ("enum", "og", "--k --col-min --col-max --budget", _enum_candidates),
     ("bounds", "matrix", "--k", _bounds),
-    ("bounds", "seq", "--k --cap", _bounds),
+    ("bounds", "seq", "--k --cap --budget", _bounds),
     ("bounds", "og", "--k", _bounds),
+    ("classify", None, "--pattern --n-max --budget --require-exact", _classify),
+    ("go-family", None, "--pattern",
+     lambda a: ({"graph": str(g)} for g in sorted(go_family(_load_pattern(a.pattern)), key=str))),
+    ("known", None, "", lambda a: (
+        {"pattern": str(p)} for p in sorted(known_mnl_2row(), key=lambda p: (p.num_rows, p.num_cols, str(p))))),
+    ("compact", None, "", lambda a: [{"kept": _resolve_cache(a).compact()}]),
 )
 
-# Operand flags are required and taken as text unless listed here.
+# Each command's line in `mnl --help`, and for a command with leaves the
+# attribute that holds the leaf's name.
+_COMMANDS = {
+    "contains": ("containment test", "mode"),
+    "ex": ("matrix extremal value", None),
+    "seq-ex": ("sequence extremal length", None),
+    "og-ex": ("ordered-graph extremal edge count", None),
+    "reduce": ("structural reductions", "kind"),
+    "transform": ("pattern transformations", "kind"),
+    "enum": ("candidate streams", "mode"),
+    "bounds": ("counting bound formulas", "mode"),
+    "classify": ("growth report", None),
+    "go-family": ("bipartite realizations of a pattern", None),
+    "known": ("the seven known 2-row matrices", None),
+    "compact": ("rewrite the cache keeping best records", None),
+}
+
+# Flags are required and taken as text unless listed here.
 _OPERAND_OPTIONS = {
     "--part-u": {"help": "comma-separated vertices of the first part"},
     "--axis": {"choices": ("row", "column")},
     "--cap": {"type": int, "required": False, "help": "run cap for sequence enumeration"},
+    "--budget": {
+        "type": int, "required": False, "default": DEFAULT_NODE_BUDGET,
+        "help": "search node budget; enum matrix|og refuses a candidate-count bound above it",
+    },
+    "--require-exact": {"action": "store_true", "required": False, "help": "exit 2 if a result is inexact"},
     **dict.fromkeys(("--col-min", "--col-max"), {"type": int, "required": False}),
-    **dict.fromkeys(("--k", "--row", "--col", "--index", "--gap", "--left", "--neighbor", "--position"), {"type": int}),
+    **dict.fromkeys(
+        ("--k", "--n", "--n-max", "--row", "--col", "--index", "--gap", "--left", "--neighbor", "--position"),
+        {"type": int},
+    ),
 }
 
 
 def _cmd_operation(args, out) -> int:
+    """Print the documents of the operation argv named; exit 2 when
+    --require-exact is set and a search lowered args.exact."""
     _emit(args.operation(args), args.format, out)
-    return 0
-
-
-def _cmd_classify(args, out) -> int:
-    p = _load_pattern(args.pattern)
-    records = growth_records(p, args.n_max, args.budget)
-    report = growth_report_from_records(canonical_key(p), records)
-    _emit_one(report.to_json_dict(), args.format, out)
-    if args.require_exact and not all(rec.exact for rec in records):
-        return 2
-    return 0
-
-
-def _cmd_go_family(args, out) -> int:
-    members = go_family(_load_pattern(args.pattern))
-    _emit(({"graph": str(g)} for g in sorted(members, key=str)), args.format, out)
-    return 0
-
-
-def _cmd_known(args, out) -> int:
-    members = sorted(known_mnl_2row(), key=lambda p: (p.num_rows, p.num_cols, str(p)))
-    _emit(({"pattern": str(p)} for p in members), args.format, out)
-    return 0
-
-
-def _cmd_compact(args, out) -> int:
-    kept = _resolve_cache(args).compact()
-    _emit_one({"kept": kept}, args.format, out)
-    return 0
+    return 2 if args.require_exact and not args.exact else 0
 
 
 # ---------------------------------------------------------------------------
@@ -294,65 +307,24 @@ def _cmd_compact(args, out) -> int:
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--cache", default=None, help="cache path (default $MNL_CACHE or ./mnl-cache.jsonl)")
-    common.add_argument(
-        "--budget", type=int, default=DEFAULT_NODE_BUDGET,
-        help="search node budget; enum matrix|og refuses a candidate-count bound above it",
-    )
     common.add_argument("--format", choices=("json", "tsv"), default="json")
-    common.add_argument("--require-exact", action="store_true", help="exit 2 if a result is inexact")
 
     parser = _Parser(prog="mnl", description=__doc__)
+    parser.set_defaults(exact=True, require_exact=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def command(name: str, dest: str, about: str):
-        """A command whose first operand picks one of its leaf parsers."""
-        return sub.add_parser(name, help=about).add_subparsers(dest=dest, required=True, parser_class=_Parser)
-
-    groups = {"contains": command("contains", "mode", "containment test")}
-
-    # The solvers look the engines up by name at call time, so a caller that
-    # rebinds mnl.cli.ex_branch_bound (say, to trace it) reaches the CLI.
-    for name, flag, kind, load, key, solve, about in (
-        ("ex", "--pattern", "matrix", _load_pattern, canonical_key,
-         lambda n, p, budget: ex_branch_bound(n, p, budget), "matrix extremal value"),
-        ("seq-ex", "--sequence", "sequence", parse_sequence, format_sequence,
-         lambda n, u, budget: seq_ex_exact(u, n, budget), "sequence extremal length"),
-        ("og-ex", "--graph", "ordered-graph", _load_graph, og_key,
-         lambda n, g, budget: og_ex_exact(n, g, budget), "ordered-graph extremal edge count"),
-    ):
-        sp = sub.add_parser(name, parents=[common], help=about)
-        sp.add_argument(flag, dest="target", metavar=flag[2:].upper(), required=True)
-        sp.add_argument("--n", type=int, required=True)
-        sp.set_defaults(handler=_cmd_solve, kind=kind, load=load, key=key, solve=solve)
-
-    for name, dest, about in (
-        ("reduce", "kind", "structural reductions"),
-        ("transform", "kind", "pattern transformations"),
-        ("enum", "mode", "candidate streams"),
-        ("bounds", "mode", "counting bound formulas"),
-    ):
-        groups[name] = command(name, dest, about)
-    for group, name, operands, operation in _OPERATIONS:
-        sp = groups[group].add_parser(name, parents=[common])
-        for flag in operands.split():
+    leaves = {}
+    for command, leaf, flags, operation in _OPERATIONS:
+        about, dest = _COMMANDS[command]
+        if leaf is None:
+            sp = sub.add_parser(command, parents=[common], help=about)
+        else:
+            if command not in leaves:
+                leaves[command] = sub.add_parser(command, help=about).add_subparsers(
+                    dest=dest, required=True, parser_class=_Parser)
+            sp = leaves[command].add_parser(leaf, parents=[common])
+        for flag in flags.split():
             sp.add_argument(flag, **{"required": True, **_OPERAND_OPTIONS.get(flag, {})})
-        sp.set_defaults(handler=_cmd_operation, operation=operation)
-
-    sp = sub.add_parser("classify", parents=[common], help="growth report")
-    sp.add_argument("--pattern", required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.set_defaults(handler=_cmd_classify)
-
-    sp = sub.add_parser("go-family", parents=[common], help="bipartite realizations of a pattern")
-    sp.add_argument("--pattern", required=True)
-    sp.set_defaults(handler=_cmd_go_family)
-
-    sp = sub.add_parser("known", parents=[common], help="the seven known 2-row matrices")
-    sp.set_defaults(handler=_cmd_known)
-
-    sp = sub.add_parser("compact", parents=[common], help="rewrite the cache keeping best records")
-    sp.set_defaults(handler=_cmd_compact)
-
+        sp.set_defaults(operation=operation)
     return parser
 
 
@@ -366,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.handler(args, sys.stdout)
+        return _cmd_operation(args, sys.stdout)
     except (InvalidInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

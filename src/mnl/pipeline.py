@@ -98,19 +98,6 @@ def known_mnl_2row() -> frozenset[Pattern01]:
     return frozenset(base + [reflect_vertical(p) for p in base[1:]])
 
 
-@lru_cache(maxsize=1)
-def _leftmost_exceptions() -> frozenset[Pattern01]:
-    return frozenset(
-        {parse_pattern("11/11"), parse_pattern("101/011"), parse_pattern("011/101")}
-    )
-
-
-@lru_cache(maxsize=1)
-def _scan_exceptions() -> frozenset[Pattern01]:
-    p = parse_pattern("1010/0101")
-    return frozenset({p, reflect_vertical(p)})
-
-
 def structural_filter(p: Pattern01) -> CandidateReport:
     """Run the matrix candidate checks in order, recording each verdict.
     Failures are reported, never raised."""
@@ -164,7 +151,7 @@ def structural_filter(p: Pattern01) -> CandidateReport:
             checks.append(
                 FilterCheck("leftmost-reduction", "pass", "at most one one per column after removing leftmost ones")
             )
-        elif p in _leftmost_exceptions():
+        elif p in known_mnl_2row():
             checks.append(
                 FilterCheck("leftmost-reduction", "exception", "multi-one column allowed for this exceptional matrix")
             )
@@ -178,7 +165,7 @@ def structural_filter(p: Pattern01) -> CandidateReport:
         has_abab = seq_contains(word, ABAB)
         if longest_run < 3 and not has_abab:
             checks.append(FilterCheck("scan-word", "pass", f"scan word {word} has short runs and no abab"))
-        elif p in _scan_exceptions():
+        elif p in known_mnl_2row():
             checks.append(FilterCheck("scan-word", "exception", "abab scan word allowed for this exceptional matrix"))
         else:
             reason = "a run of length 3" if longest_run >= 3 else "an abab alternation"
@@ -250,12 +237,11 @@ def _construction(k: int, num_cols: int, screen: _PrefixScreen | None = None) ->
     arises exactly once.
 
     With a screen, a prefix is cut at the first check it fails; a cut prefix
-    only leads to patterns structural_filter rejects.  On the full width one
-    of the known 2-row matrices is kept, since the filter grants them their
-    exceptions (each contains itself; 1010/0101 and its mirror have an abab).
+    only leads to patterns structural_filter rejects, or to one of the known
+    2-row matrices (each contains itself), which enumerate_candidates adds
+    back to every k = 2 batch.
     """
     full = (1 << k) - 1
-    exempt = {m.col_masks for m in known_mnl_2row() if m.num_rows == k}
 
     def extend(masks: tuple[int, ...], started: int, state) -> Iterator[Pattern01]:
         last = len(masks) + 1 == num_cols
@@ -269,7 +255,7 @@ def _construction(k: int, num_cols: int, screen: _PrefixScreen | None = None) ->
             for extra in held + ([0] if new else []):
                 cols = masks + (new | extra,)
                 nxt = screen.advance(state, cols[-1]) if screen else state
-                if nxt is None and not (last and cols in exempt):
+                if nxt is None:
                     continue
                 if last:
                     yield Pattern01(k, num_cols, frozenset(
@@ -298,10 +284,11 @@ def enumerate_candidates(
     The construction is built column by column, and a prefix is cut at the
     first monotone check of structural_filter it fails (_PrefixScreen), so
     only the survivors are filtered; the stream is the same as filtering
-    every construction pattern.  The leftmost-one reconstruction cannot
-    reach the three known matrices whose reduced form keeps a multi-one
-    column, so for k = 2 the known seven are seeded into the stream
-    alongside the construction.
+    every construction pattern.  The screen cuts every known 2-row matrix,
+    since each contains itself (and the leftmost-one reconstruction cannot
+    reach the three whose reduced form keeps a multi-one column), so for
+    k = 2 the known seven are seeded into the stream alongside the
+    construction.
     """
     _check_k(k)
     lo, hi = _col_range(k)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import multiprocessing
 import shlex
@@ -391,8 +392,14 @@ class TestCliBasics:
         ("seq --k 2 --cap 20000", "--cap"), ("seq --k 2 --cap 14283", "--cap"),
     ])
     def test_bounds_too_long_to_print_refused(self, tmp_path, capsys, monkeypatch, digit_limit, argv, flag):
-        for name in ("matrix_count_bound", "og_count_bound", "seq_count_bound"):
-            monkeypatch.setattr(mnl.cli, name, lambda *args: pytest.fail("the bound was computed"))
+        count_bound = mnl.cli._count_bound
+
+        def limited(mode, k, first, last, limit=None):
+            if limit is None:
+                pytest.fail("the bound was summed without a limit")
+            return count_bound(mode, k, first, last, limit)
+
+        monkeypatch.setattr(mnl.cli, "_count_bound", limited)
         code, out, err = run_cli(capsys, "bounds", *argv.split(), *cache_args(tmp_path))
         assert code == 1 and out == "" and f"lower {flag}" in err
 
@@ -444,10 +451,26 @@ class TestCliExitCodes:
         'transform isolated --graph "n=2;1 2" --position 1 --row 7',
         "enum matrix --k 2 --cap 3",
         "bounds matrix --k 2 --cap 9",
+        "known --budget 5",
+        "go-family --pattern 11 --require-exact",
+        "contains matrix --haystack 11 --needle 1 --require-exact",
+        "bounds matrix --k 2 --budget 9",
+        "compact --budget 1",
     ])
     def test_flag_of_another_operation_refused(self, tmp_path, capsys, argv):
         code, out, err = run_cli(capsys, *shlex.split(argv), *cache_args(tmp_path))
         assert code == 1 and out == "" and "unrecognized arguments" in err
+
+    # a leaf takes its row's flags and the two every command accepts
+    def test_each_leaf_takes_exactly_its_flags(self):
+        def choices(parser):
+            return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+        commands = choices(mnl.cli.build_parser())
+        for command, leaf, flags, _ in mnl.cli._OPERATIONS:
+            sp = commands[command] if leaf is None else choices(commands[command])[leaf]
+            got = {opt for action in sp._actions for opt in action.option_strings}
+            assert got == {*flags.split(), "--cache", "--format", "-h", "--help"}, (command, leaf)
 
     def test_invalid_pattern_text(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "ex", "--pattern", "1x", "--n", "3", *cache_args(tmp_path))

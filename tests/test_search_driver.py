@@ -91,3 +91,18 @@ def test_benchmark_hooks_see_the_og_stream_through_the_cli(capsys, monkeypatch):
     assert capsys.readouterr().out
     for name in ("ordered_graphs.go_family", "ordered_graphs.og_contains"):
         assert tracer.calls(name) > 0, name
+
+
+def test_benchmark_argv_accepted(monkeypatch):
+    """Every argv the benchmark sends, with the --cache it appends, parses:
+    dropping a flag it passes fails here, not in a benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import cli_session
+    import streams
+
+    argvs = [argv for _, argv in streams.STREAMS]
+    argvs += [cli_session._argv(cmd, "x", 3) for cmd in ("ex", "seq-ex", "og-ex", "compact")]
+    parser = mnl.cli.build_parser()
+    for argv in argvs:
+        args = parser.parse_args([*argv, "--cache", "c.jsonl"])
+        assert args.cache == "c.jsonl", argv
