@@ -1,9 +1,21 @@
 """Append-only JSON-lines cache for extremal-value records.
 
-One record per line keyed by (key, kind, n).  Writes append under an
-advisory file lock so at most one writer touches the file at a time;
-readers need no lock.  A corrupt line is skipped with a warning, never a
-crash.  Compaction rewrites the file keeping only the best record per key.
+One record per line keyed by (key, kind, n).  A record carries a JSON
+boolean `exact` and integer counts; any other line is corrupt.  Writes
+append under an advisory file lock so at most one writer touches the file
+at a time; readers need no lock.  A corrupt line is skipped with a warning,
+never a crash.  Compaction rewrites the file keeping only the best record
+per key.
+
+A lookup (`get`, and `put`'s check under the lock) decodes only the lines
+that can hold its key: those containing the key as `json.dumps` spells it,
+those containing a backslash (an escape may spell the same key another
+way) and those not of the form `{...}` (torn or garbage lines, so they
+still warn).  A key that `json.dumps` escapes, such as one with a quote or
+a non-ASCII character, decodes every line, since a line may spell it raw.
+So a lookup skips silently a well-formed `{...}` line under another key
+that fails validation; `compact` decodes every line, warns about that one
+and drops it.
 """
 from __future__ import annotations
 
@@ -24,13 +36,24 @@ class CacheStore:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
 
-    def _iter_records(self):
+    def _iter_records(self, needle: str | None = None):
+        """Decode the file's records, warning about each corrupt line.  With
+        a needle, skip the `{...}` lines that hold neither it nor a
+        backslash: no such line can decode to a record holding it."""
         if not self.path.exists():
             return
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
+                    continue
+                if (
+                    needle is not None
+                    and needle not in line
+                    and "\\" not in line
+                    and line[0] == "{"
+                    and line[-1] == "}"
+                ):
                     continue
                 try:
                     yield ExRecord.from_json_dict(json.loads(line))
@@ -50,8 +73,9 @@ class CacheStore:
         return a if a.value >= b.value else b
 
     def get(self, key: str, kind: str, n: int) -> ExRecord | None:
+        needle = json.dumps(key)
         best: ExRecord | None = None
-        for rec in self._iter_records():
+        for rec in self._iter_records(None if "\\" in needle else needle):
             if (rec.pattern_key, rec.kind, rec.n) == (key, kind, n):
                 best = self._better(best, rec)
         return best

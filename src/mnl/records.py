@@ -12,6 +12,18 @@ DEFAULT_NODE_BUDGET = 10**8
 
 KINDS = ("matrix", "sequence", "ordered-graph")
 
+# to_json_dict's fields in ExRecord's field order, with their exact types
+# (type(True) is bool, not int, so a bool is no count)
+_JSON_FIELDS = {
+    "key": str,
+    "kind": str,
+    "n": int,
+    "value": int,
+    "exact": bool,
+    "nodes_explored": int,
+    "elapsed_ms": int,
+}
+
 
 @dataclass(frozen=True)
 class ExRecord:
@@ -53,15 +65,12 @@ class ExRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict[str, Any]) -> "ExRecord":
-        return cls(
-            pattern_key=str(d["key"]),
-            kind=str(d["kind"]),
-            n=int(d["n"]),
-            value=int(d["value"]),
-            exact=bool(d["exact"]),
-            nodes_explored=int(d["nodes_explored"]),
-            elapsed_ms=int(d["elapsed_ms"]),
-        )
+        """Each field must already have its JSON type, nothing is coerced:
+        a string `"false"` is not exactness and `3.9` is not a count."""
+        for name, kind in _JSON_FIELDS.items():
+            if type(d[name]) is not kind:
+                raise ValueError(f"field {name!r} must be {kind.__name__}, got {d[name]!r}")
+        return cls(*(d[name] for name in _JSON_FIELDS))
 
 
 class BudgetExhausted(Exception):

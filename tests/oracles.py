@@ -5,11 +5,13 @@ library code: containment enumerates row/column subsets via combinations,
 extremal values enumerate whole objects, the summation oracles evaluate the
 bound formulas term by explicit term.  Keep it that way.
 """
+import json
 from itertools import combinations, product
 from math import comb
 
 from mnl.ordered_graphs import Bipartition, OrderedGraph
 from mnl.patterns import Pattern01, canonical_key
+from mnl.records import ExRecord
 
 
 def naive_contains(h: Pattern01, p: Pattern01) -> bool:
@@ -158,3 +160,24 @@ def sum_og_bound(k: int) -> int:
     for i in range(low, 4 * k - 1):
         total += comb(k + i, k) * (i**k - (i - 1) ** k) * k ** (i - 1)
     return total
+
+
+def naive_cache_get(path, key: str, kind: str, n: int) -> ExRecord | None:
+    """Decode every non-blank line of a cache file and keep the best record
+    under (key, kind, n): exact before inexact, then the larger value, the
+    earlier line on a tie.  Lines that do not decode to a record are skipped."""
+    best = None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = ExRecord.from_json_dict(json.loads(line))
+            except (KeyError, TypeError, ValueError):
+                continue
+            if (rec.pattern_key, rec.kind, rec.n) != (key, kind, n):
+                continue
+            if best is None or (rec.exact, rec.value) > (best.exact, best.value):
+                best = rec
+    return best

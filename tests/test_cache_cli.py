@@ -1,11 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import multiprocessing
+import re
 import shlex
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mnl.cli
 from mnl.cache import CacheStore
@@ -16,7 +22,7 @@ from mnl.pipeline import known_mnl_2row, matrix_count_bound, og_count_bound, seq
 from mnl.records import ExRecord
 from mnl.sequences import parse_sequence
 
-from oracles import naive_contains
+from oracles import naive_cache_get, naive_contains
 
 
 def rec(key="1/1", kind="matrix", n=3, value=3, exact=True, nodes=10, ms=1):
@@ -96,6 +102,37 @@ class TestCacheStore:
         assert store.get("1/1", "matrix", 3) == rec()
         assert "corrupt cache line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,bad", [
+        ("exact", "false"), ("exact", 1), ("exact", None),
+        ("value", 3.9), ("value", "3"), ("value", True),
+        ("n", 3.0), ("nodes_explored", "10"), ("elapsed_ms", False),
+        ("key", 11), ("kind", ["matrix"]),
+    ])
+    def test_line_with_a_coerced_field_skipped_with_warning(self, tmp_path, capsys, field, bad):
+        path = tmp_path / "c.jsonl"
+        doc = dict(rec().to_json_dict(), **{field: bad})
+        path.write_text(json.dumps(doc) + "\n")
+        store = CacheStore(path)
+        assert store.get("1/1", "matrix", 3) is None
+        assert store.put(rec(value=2)) == rec(value=2)
+        assert store.get("1/1", "matrix", 3) == rec(value=2)
+        assert store.compact() == 1
+        assert f"field {field!r} must be" in capsys.readouterr().err
+
+    def test_invalid_line_of_another_key_silent_to_lookups_dropped_by_compact(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        store = CacheStore(path)
+        store.put(rec())
+        over = dict(rec(key="11/11", n=2, value=4).to_json_dict(), value=5)  # 5 > n^2
+        with open(path, "a") as fh:
+            fh.write(json.dumps(over) + "\n")
+        assert store.get("1/1", "matrix", 3) == rec()
+        assert store.put(rec(n=4, value=4)) == rec(n=4, value=4)
+        assert capsys.readouterr().err == ""
+        assert store.compact() == 2
+        assert "corrupt cache line 2" in capsys.readouterr().err
+        assert [json.loads(line)["key"] for line in path.read_text().splitlines()] == ["1/1", "1/1"]
+
     def test_concurrent_contradicting_exact_puts(self, tmp_path):
         ctx = multiprocessing.get_context("spawn")
         path = tmp_path / "c.jsonl"
@@ -165,6 +202,89 @@ class TestCacheStore:
         assert json.loads(lines[0])["value"] == 5
 
 
+# keys that overlap as text (1/1 in 11/11, ab in aba) or need escapes in JSON
+CACHE_KEYS = ("11/11", "1/1", "11/11/11", "ab", "aba", 'a"b', "a\\b", "\u00e9/1")
+BAD_FIELDS = {
+    "exact": ("false", 1, None),
+    "n": (2.0, "2", True),
+    "value": (3.9, "3", False),
+    "nodes_explored": (1.5,),
+    "elapsed_ms": ("1",),
+    "key": (11,),
+    "kind": (["matrix"],),
+}
+GARBAGE = ("garbage", "{not json", "[1, 2]", "null", "{}", '"11/11"', "}{", "{")
+
+
+def spell_record(doc, spelling, compact):
+    """The record's JSON text with its key spelled one of several ways that
+    all decode to the same key."""
+    comma, colon = (",", ":") if compact else (", ", ": ")
+    key = doc["key"]
+    text = json.dumps(key)
+    if isinstance(key, str):
+        if spelling == "slash":
+            text = text.replace("/", "\\/")
+        elif spelling == "unicode" and key[0].isascii():  # a letter or digit
+            text = '"\\u%04x' % ord(key[0]) + text[2:]
+        elif spelling == "raw":
+            text = json.dumps(key, ensure_ascii=False)
+    rest = json.dumps({k: v for k, v in doc.items() if k != "key"}, separators=(comma, colon))
+    return '{"key"' + colon + text + comma + rest[1:]
+
+
+@st.composite
+def cache_file(draw):
+    """A query (key, kind, n) and cache lines around it: records under it and
+    under other keys in several spellings, records with a bad field, torn
+    halves, garbage and blank lines."""
+    triple = st.tuples(st.sampled_from(CACHE_KEYS), st.sampled_from(("matrix", "sequence")), st.integers(1, 3))
+    query = draw(triple)
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        key, kind, n = query if draw(st.booleans()) else draw(triple)
+        doc = ExRecord(key, kind, n, draw(st.integers(0, n * n)), draw(st.booleans()), 1, 0).to_json_dict()
+        shape = draw(st.sampled_from(("record", "record", "bad-field", "over-bound", "torn", "garbage", "blank")))
+        if shape == "bad-field":
+            field = draw(st.sampled_from(sorted(BAD_FIELDS)))
+            doc[field] = draw(st.sampled_from(BAD_FIELDS[field]))
+        elif shape == "over-bound":
+            doc.update(kind="matrix", value=n * n + 1)
+        spelling = draw(st.sampled_from(("plain", "slash", "unicode", "raw")))
+        line = spell_record(doc, spelling, compact=draw(st.booleans()))
+        if shape == "torn":
+            cut = draw(st.integers(1, len(line) - 1))
+            line = draw(st.sampled_from((line[:cut], line[cut:])))
+        elif shape == "garbage":
+            line = draw(st.sampled_from(GARBAGE))
+        elif shape == "blank":
+            line = draw(st.sampled_from(("", "   ")))
+        lines.append(line)
+    return query, lines
+
+
+class TestFilteredLookup:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(cache_file(), st.booleans())
+    def test_get_matches_full_decode_and_warns_on_torn_lines(self, case, final_newline):
+        (key, kind, n), lines = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.jsonl"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write("\n".join(lines) + ("\n" if final_newline else ""))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                got = CacheStore(path).get(key, kind, n)
+            assert got == naive_cache_get(path, key, kind, n)
+        warned = {int(m) for m in re.findall(r"corrupt cache line (\d+) in", err.getvalue())}
+        stripped = {lineno: line.strip() for lineno, line in enumerate(lines, start=1)}
+        not_braced = {i for i, t in stripped.items() if t and not (t[0] == "{" and t[-1] == "}")}
+        assert not_braced <= warned
+        for lineno in warned:
+            with pytest.raises((KeyError, TypeError, ValueError)):
+                ExRecord.from_json_dict(json.loads(stripped[lineno]))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -201,6 +321,15 @@ class TestCliBasics:
         code, out, _ = run_cli(capsys, *args)
         doc = json.loads(out)
         assert code == 0 and doc["source"] == "cache" and doc["value"] == 4
+
+    def test_cached_string_exact_not_trusted(self, tmp_path, capsys):
+        path = tmp_path / "cache.jsonl"
+        doc = dict(rec(key="11/11", n=3, value=9).to_json_dict(), exact="false")
+        path.write_text(json.dumps(doc) + "\n")
+        code, out, err = run_cli(capsys, "ex", "--pattern", "11/11", "--n", "3", "--cache", str(path))
+        assert code == 0 and "corrupt cache line 1" in err
+        doc = json.loads(out)
+        assert (doc["value"], doc["exact"], doc["source"]) == (6, True, "computed")
 
     def test_bounds(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "bounds", "matrix", "--k", "2", *cache_args(tmp_path))
