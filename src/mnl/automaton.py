@@ -42,11 +42,17 @@ def _tables(needs: list[list[int]], letters) -> list[list[list[int]]]:
     ]
 
 
+def matrix_table_entries(k: int, m: int, n: int) -> int:
+    """Entries of matrix_tables for a k x m needle on n board rows, plus the
+    two 2^n-entry lists (popcounts and column order) a search over them
+    keeps."""
+    return (comb(n, k) * m + 2) << n
+
+
 def matrix_tables(col_masks: tuple[int, ...], k: int, n: int) -> list[list[list[int]]]:
     """One track per k-subset of the n board rows, indexed by board column
-    mask.  The size check also counts the two 2^n-entry lists (popcounts and
-    column order) a search over these tables keeps."""
-    _check_size((comb(n, k) * len(col_masks) + 2) << n, f"a board of {n} rows")
+    mask."""
+    _check_size(matrix_table_entries(k, len(col_masks), n), f"a board of {n} rows")
     needs = [
         [sum(1 << rows[i] for i in range(k) if col >> i & 1) for col in col_masks]
         for rows in combinations(range(n), k)

@@ -8,15 +8,28 @@ copy of p.  Two engines are provided:
 - ex_branch_bound: depth-first search filling the matrix column by column,
   each column a row bitmask, tried in decreasing population count.
 
+ex(n, p) is the same for all 8 dihedral images of p, so ex_branch_bound
+searches one member q of p's orbit, whichever image it is handed, and keys
+its record on the orbit's canonical_key.  Members whose columns are all
+equal come first, the rest after, each group in format_pattern order (so
+the canonical representative leads an orbit with no equal-column member);
+q is the first whose tables fit MAX_TABLE_ENTRIES on the board, and only
+when none fits is the board refused.
+
 The search runs on the subsequence automata of mnl.automaton: one track per
-set of k board rows (k = p's row count), each carrying how many of p's
+set of k board rows (k = q's row count), each carrying how many of q's
 columns embed greedily into the board's columns on those rows.  Appending a
 column advances every track by table lookup, and the branch dies as soon as
-a track matches all of p.  A per-state completion table gives the most ones
-a track's rows can still take without completing p; each board row lies in
+a track matches all of q.  A per-state completion table gives the most ones
+a track's rows can still take without completing q; each board row lies in
 C(n-1, k-1) tracks, so the sum over tracks divided by that is an admissible
 bound on the remaining ones, and a branch that cannot beat the best board
-found is cut.  Exactness is never at stake, only speed.
+found is cut.  When q's columns are all equal, containment does not depend
+on the board's column order, so the board's columns are taken in sorted
+order: each column's candidate index is at or after the previous column's,
+and no column to come has more ones than the one being placed, which cuts
+a branch once ones + popcount * remaining columns cannot beat the best.
+Exactness is never at stake, only speed.
 
 The search is deterministic and single threaded; records say exact=False
 instead of failing when the node budget runs out.
@@ -26,9 +39,9 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
-from .automaton import completion_table, matrix_tables
+from .automaton import MAX_TABLE_ENTRIES, completion_table, matrix_table_entries, matrix_tables
 from .errors import InvalidInputError
-from .patterns import Pattern01, _embed, canonical_key
+from .patterns import Pattern01, _embed, canonical_key, format_pattern, symmetry_variants
 from .records import (
     DEFAULT_NODE_BUDGET,
     BudgetExhausted,
@@ -65,24 +78,44 @@ def ex_exhaustive(n: int, p: Pattern01) -> int:
     return best
 
 
+def equal_columns(q: Pattern01) -> bool:
+    """True iff all of q's columns are equal."""
+    return len(set(q.col_masks)) == 1
+
+
+def search_member(p: Pattern01, n: int) -> Pattern01:
+    """The member of p's dihedral orbit that ex_branch_bound searches on an
+    n x n board, in the order the module docstring gives.  When no member's
+    tables fit, the first is returned and matrix_tables refuses it."""
+    members = sorted(symmetry_variants(p), key=lambda q: (not equal_columns(q), format_pattern(q)))
+    for q in members:
+        if matrix_table_entries(q.num_rows, q.num_cols, n) <= MAX_TABLE_ENTRIES:
+            return q
+    return members[0]
+
+
 def ex_branch_bound(
     n: int, p: Pattern01, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ExRecord:
     """Branch-and-bound ex(n, p).  exact=True iff the tree was exhausted."""
     _require_nonempty(p)
-    k, m = p.num_rows, p.num_cols
+    q = search_member(p, n)
+    k, m = q.num_rows, q.num_cols
+    # with all of q's columns equal, containment ignores the board's column
+    # order, so the board's columns may be taken in candidate order
+    sorted_cols = equal_columns(q)
 
     def search(budget: int) -> tuple[int, int, bool]:
-        tables = matrix_tables(p.col_masks, k, n)
+        tables = matrix_tables(q.col_masks, k, n)
         if not tables:
-            return n * n, 0, True  # with no k board rows no copy of p fits
+            return n * n, 0, True  # with no k board rows no copy of q fits
         pcs = [bin(mask).count("1") for mask in range(1 << n)]
         candidates = sorted(range(1 << n), key=lambda mask: (-pcs[mask], mask))
-        comp = completion_table(p.col_masks, k, n)
+        comp = completion_table(q.col_masks, k, n)
         per_row = comb(n - 1, k - 1)  # tracks through any one board row
         best = nodes = 0
 
-        def rec(ones: int, remaining: int, states: list[int]) -> None:
+        def rec(ones: int, remaining: int, states: list[int], start: int) -> None:
             nonlocal best, nodes
             if remaining == 0:
                 if ones > best:
@@ -93,17 +126,21 @@ def ex_branch_bound(
             # states only grow, so the children's completion is bounded by ours
             room_after = sum(map(comp[remaining - 1].__getitem__, states)) // per_row
             rows = [table[s] for table, s in zip(tables, states)]
-            for mask in candidates:
+            for i in range(start, len(candidates)):
                 if nodes >= budget:
                     raise BudgetExhausted(best, nodes)
                 nodes += 1
-                if ones + pcs[mask] + room_after <= best:
-                    break  # candidates sorted by popcount, nothing later can win
+                mask = candidates[i]
+                pc = pcs[mask]
+                # candidates sorted by popcount, nothing later can win; with
+                # sorted columns no later column has more ones than this one
+                if ones + pc + room_after <= best or (sorted_cols and ones + pc * remaining <= best):
+                    break
                 new_states = [row[mask] for row in rows]
                 if m not in new_states:
-                    rec(ones + pcs[mask], remaining - 1, new_states)
+                    rec(ones + pc, remaining - 1, new_states, i if sorted_cols else 0)
 
-        rec(0, n, [0] * len(tables))
+        rec(0, n, [0] * len(tables), 0)
         return best, nodes, True
 
     return run_search("matrix", canonical_key(p), n, node_budget, search)

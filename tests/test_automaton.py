@@ -5,11 +5,11 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mnl.automaton import matrix_tables, sequence_tables
+from mnl.automaton import MAX_TABLE_ENTRIES, matrix_table_entries, matrix_tables, sequence_tables
 from mnl.cli import main
 from mnl.errors import InvalidInputError
-from mnl.extremal import ex_branch_bound
-from mnl.patterns import Pattern01, parse_pattern
+from mnl.extremal import ex_branch_bound, search_member
+from mnl.patterns import Pattern01, parse_pattern, symmetry_variants
 from mnl.sequences import Sequence, parse_sequence, seq_ex_exact
 
 from oracles import naive_contains, naive_ex, naive_seq_contains, naive_seq_ex
@@ -64,6 +64,16 @@ def test_ex_branch_bound_matches_naive_ex(p, n):
     assert rec.exact and rec.value == naive_ex(n, p)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=35)
+@given(matrices(3, 3, nonempty=True), st.integers(1, 4))
+def test_every_orbit_member_matches_naive_ex(p, n):
+    # ex_branch_bound searches one member of p's orbit whichever it is handed
+    want = naive_ex(n, p)
+    for image in symmetry_variants(p):
+        rec = ex_branch_bound(n, image)
+        assert rec.exact and rec.value == want, str(image)
+
+
 @SEARCH
 @given(words(1, 5), st.integers(1, 4))
 def test_seq_ex_exact_matches_naive_seq_ex(letters, n):
@@ -76,10 +86,9 @@ def test_seq_ex_exact_matches_naive_seq_ex(letters, n):
 
 
 @pytest.fixture
-def refused_without_allocating():
+def capped_address_space():
     """Run the body under a 512 MB address-space cap, so a broken size check
-    fails with MemoryError instead of exhausting the machine, and assert
-    that the body allocated next to nothing."""
+    fails with MemoryError instead of exhausting the machine."""
     resource = pytest.importorskip("resource")
     try:
         with open("/proc/self/statm") as fh:
@@ -89,13 +98,22 @@ def refused_without_allocating():
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     cap = size + (512 << 20)
     resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.fixture
+def refused_without_allocating(capped_address_space):
+    """Under the address-space cap, assert that the body allocated next to
+    nothing."""
     tracemalloc.start()
     try:
         yield
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def test_large_board_refused(refused_without_allocating):
@@ -115,4 +133,18 @@ def test_cli_large_board_exits_1(tmp_path, capsys, refused_without_allocating):
 
 def test_desk_scale_boards_admitted():
     rec = ex_branch_bound(8, parse_pattern("1010/0101"), node_budget=1)
+    assert not rec.exact and rec.nodes_explored == 1
+
+
+@pytest.mark.parametrize(
+    "n, text, refused, searched",
+    [(13, "1010/0101", "01/10/01/10", "0101/1010"), (14, "11111", "1/1/1/1/1", "11111")],
+)
+def test_orbit_member_whose_tables_fit_is_admitted(capped_address_space, n, text, refused, searched):
+    # the member searched at small n needs more than MAX_TABLE_ENTRIES here
+    first = parse_pattern(refused)
+    assert search_member(first, 4) == first
+    assert matrix_table_entries(first.num_rows, first.num_cols, n) > MAX_TABLE_ENTRIES
+    assert search_member(parse_pattern(text), n) == parse_pattern(searched)
+    rec = ex_branch_bound(n, parse_pattern(text), node_budget=1)
     assert not rec.exact and rec.nodes_explored == 1

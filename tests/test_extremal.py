@@ -1,7 +1,7 @@
 import pytest
 
 from mnl.errors import InvalidInputError
-from mnl.extremal import ex_branch_bound, ex_exhaustive, growth_report
+from mnl.extremal import equal_columns, ex_branch_bound, ex_exhaustive, growth_report, search_member
 from mnl.patterns import (
     Pattern01,
     canonical_key,
@@ -108,12 +108,52 @@ class TestBranchBound:
             ex_branch_bound(3, Pattern01(2, 2, frozenset()))
 
     def test_single_row_bound_agrees_with_general_path(self):
-        # a single-row needle runs on one track per board row, its rotation
-        # on one track per set of rows; both must agree on square boards
+        # a single-row needle and its rotation lie in one orbit, so both are
+        # searched on the same member and must agree on square boards
         for text in ("11", "101", "1011"):
             p = P(text)
             for n in range(1, 5):
                 assert ex_branch_bound(n, p).value == ex_branch_bound(n, rotate90(p)).value
+
+
+class TestSortedColumns:
+    """The board's columns are taken in sorted order exactly when the
+    searched orbit member has all columns equal, decided from the pattern."""
+
+    @pytest.mark.parametrize("text", ["11/11", "111/111", "11/00/11", "101/101"])
+    def test_equal_column_orbits_take_sorted_columns(self, text):
+        p = P(text)
+        for n in range(1, 5):
+            assert equal_columns(search_member(p, n))
+            rec = ex_branch_bound(n, p)
+            assert rec.exact and rec.value == naive_ex(n, p)
+
+    @pytest.mark.parametrize("text", ["11/10", "111/110", "010/010/000"])
+    def test_one_differing_column_keeps_column_order(self, text):
+        # 010/010/000 reads 7 instead of 8 at n=3 if its board columns are sorted
+        p = P(text)
+        for n in range(1, 5):
+            assert not equal_columns(search_member(p, n))
+            rec = ex_branch_bound(n, p)
+            assert rec.exact and rec.value == naive_ex(n, p)
+
+    def test_canonical_representative_searched_without_equal_columns(self):
+        for text in ("101/011", "1010/0101", "0010/0101"):
+            assert str(search_member(P(text), 6)) == canonical_key(P(text))
+
+
+class TestAnchors:
+    def test_zarankiewicz_2(self):
+        for n, z in enumerate((1, 3, 6, 9, 12, 16, 21), start=1):
+            rec = ex_branch_bound(n, P("11/11"))
+            assert rec.exact and rec.value == z, n
+
+    @pytest.mark.parametrize(
+        "text, value", [("101/011", 20), ("1010/0101", 24), ("0010/0101", 21), ("11/11", 16)]
+    )
+    def test_n6_exact_within_default_budget(self, text, value):
+        rec = ex_branch_bound(6, P(text))
+        assert rec.exact and rec.value == value
 
 
 class TestSplitColumnSandwich:

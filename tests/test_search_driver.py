@@ -15,11 +15,18 @@ from mnl.sequences import parse_sequence, seq_ex_exact
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# case -> (record kind, solve(budget)); the two matrix cases cover the
+# sorted-column search (equal columns) and the general one
 ENGINES = {
-    "matrix": lambda budget: ex_branch_bound(4, parse_pattern("11/11"), budget),
-    "sequence": lambda budget: seq_ex_exact(parse_sequence("ababa"), 3, budget),
-    "ordered-graph": lambda budget: og_ex_exact(
-        6, parse_ordered_graph("n=4;1 3;1 4;2 3;2 4"), budget
+    "matrix": ("matrix", lambda budget: ex_branch_bound(4, parse_pattern("11/11"), budget)),
+    "matrix-distinct-columns": (
+        "matrix",
+        lambda budget: ex_branch_bound(4, parse_pattern("1010/0101"), budget),
+    ),
+    "sequence": ("sequence", lambda budget: seq_ex_exact(parse_sequence("ababa"), 3, budget)),
+    "ordered-graph": (
+        "ordered-graph",
+        lambda budget: og_ex_exact(6, parse_ordered_graph("n=4;1 3;1 4;2 3;2 4"), budget),
     ),
 }
 
@@ -30,9 +37,9 @@ CLI_RUNS = (
 )
 
 
-@pytest.mark.parametrize("kind", ENGINES)
-def test_budget_counts_nodes_alike_in_every_engine(kind):
-    solve = ENGINES[kind]
+@pytest.mark.parametrize("case", ENGINES)
+def test_budget_counts_nodes_alike_in_every_engine(case):
+    kind, solve = ENGINES[case]
     full = solve(DEFAULT_NODE_BUDGET)
     assert full.kind == kind and full.exact and full.nodes_explored > 0
     again = solve(full.nodes_explored)
@@ -43,10 +50,10 @@ def test_budget_counts_nodes_alike_in_every_engine(kind):
         assert not rec.exact and rec.nodes_explored <= budget and rec.value <= full.value
 
 
-@pytest.mark.parametrize("kind", ENGINES)
-def test_negative_budget_refused(kind):
+@pytest.mark.parametrize("case", ENGINES)
+def test_negative_budget_refused(case):
     with pytest.raises(InvalidInputError, match="budget"):
-        ENGINES[kind](-5)
+        ENGINES[case][1](-5)
 
 
 def test_cli_negative_budget_refused_before_the_cache_is_touched(tmp_path, capsys):
