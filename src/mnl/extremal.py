@@ -11,10 +11,14 @@ copy of p.  Two engines are provided:
 ex(n, p) is the same for all 8 dihedral images of p, so ex_branch_bound
 searches one member q of p's orbit, whichever image it is handed, and keys
 its record on the orbit's canonical_key.  Members whose columns are all
-equal come first, the rest after, each group in format_pattern order (so
-the canonical representative leads an orbit with no equal-column member);
-q is the first whose tables fit MAX_TABLE_ENTRIES on the board, and only
-when none fits is the board refused.
+equal, and members with one row, come first, fewest table entries
+(automaton.matrix_table_entries) first among them: the former take sorted
+columns (below), and a one-row member's tracks are the board rows
+themselves, which makes its completion bound exact.  The rest follow in
+format_pattern order, so the canonical representative leads an orbit with
+neither kind of member.  q is the first whose tables fit MAX_TABLE_ENTRIES
+on the board, and only when none fits is the board refused.  ex_on_member
+runs the same search on the image it is handed.
 
 The search runs on the subsequence automata of mnl.automaton: one track per
 set of k board rows (k = q's row count), each carrying how many of q's
@@ -87,7 +91,15 @@ def search_member(p: Pattern01, n: int) -> Pattern01:
     """The member of p's dihedral orbit that ex_branch_bound searches on an
     n x n board, in the order the module docstring gives.  When no member's
     tables fit, the first is returned and matrix_tables refuses it."""
-    members = sorted(symmetry_variants(p), key=lambda q: (not equal_columns(q), format_pattern(q)))
+    if n < 1:
+        raise InvalidInputError(f"n must be >= 1, got {n}")
+
+    def order(q: Pattern01) -> tuple[int, int, str]:
+        if equal_columns(q) or q.num_rows == 1:
+            return 0, matrix_table_entries(q.num_rows, q.num_cols, n), format_pattern(q)
+        return 1, 0, format_pattern(q)
+
+    members = sorted(symmetry_variants(p), key=order)
     for q in members:
         if matrix_table_entries(q.num_rows, q.num_cols, n) <= MAX_TABLE_ENTRIES:
             return q
@@ -99,7 +111,16 @@ def ex_branch_bound(
 ) -> ExRecord:
     """Branch-and-bound ex(n, p).  exact=True iff the tree was exhausted."""
     _require_nonempty(p)
-    q = search_member(p, n)
+    return ex_on_member(n, search_member(p, n), node_budget)
+
+
+def ex_on_member(
+    n: int, q: Pattern01, node_budget: int = DEFAULT_NODE_BUDGET
+) -> ExRecord:
+    """ex_branch_bound's search run on q exactly as handed, whichever member
+    of its orbit q is, so that every orientation's search can be checked on
+    its own.  The record is keyed on canonical_key(q) all the same."""
+    _require_nonempty(q)
     k, m = q.num_rows, q.num_cols
     # with all of q's columns equal, containment ignores the board's column
     # order, so the board's columns may be taken in candidate order
@@ -143,7 +164,7 @@ def ex_branch_bound(
         rec(0, n, [0] * len(tables), 0)
         return best, nodes, True
 
-    return run_search("matrix", canonical_key(p), n, node_budget, search)
+    return run_search("matrix", canonical_key(q), n, node_budget, search)
 
 
 def growth_records(

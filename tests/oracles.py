@@ -41,6 +41,24 @@ def naive_ex(n: int, p: Pattern01) -> int:
     return best
 
 
+def naive_completion(col_masks: tuple[int, ...], k: int, t: int, s: int) -> int | None:
+    """Most ones k board rows can take in t columns among which the needle
+    columns col_masks[s:] do not occur in order, each covered by its board
+    column; None when they occur among every choice."""
+    rest = col_masks[s:]
+    best = None
+    for cols in product(range(1 << k), repeat=t):
+        if any(
+            all(cols[i] & need == need for i, need in zip(pos, rest))
+            for pos in combinations(range(t), len(rest))
+        ):
+            continue
+        ones = sum(bin(c).count("1") for c in cols)
+        if best is None or ones > best:
+            best = ones
+    return best
+
+
 def naive_seq_contains(u: list[int] | tuple[int, ...], v: list[int] | tuple[int, ...]) -> bool:
     if len(v) > len(u):
         return False

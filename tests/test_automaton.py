@@ -5,14 +5,21 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mnl.automaton import MAX_TABLE_ENTRIES, matrix_table_entries, matrix_tables, sequence_tables
+from mnl.automaton import (
+    DEAD,
+    MAX_TABLE_ENTRIES,
+    completion_table,
+    matrix_table_entries,
+    matrix_tables,
+    sequence_tables,
+)
 from mnl.cli import main
 from mnl.errors import InvalidInputError
-from mnl.extremal import ex_branch_bound, search_member
+from mnl.extremal import ex_branch_bound, ex_on_member, search_member
 from mnl.patterns import Pattern01, parse_pattern, symmetry_variants
 from mnl.sequences import Sequence, parse_sequence, seq_ex_exact
 
-from oracles import naive_contains, naive_ex, naive_seq_contains, naive_seq_ex
+from oracles import naive_completion, naive_contains, naive_ex, naive_seq_contains, naive_seq_ex
 
 CHECK = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 SEARCH = settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -67,11 +74,43 @@ def test_ex_branch_bound_matches_naive_ex(p, n):
 @settings(derandomize=True, deadline=None, database=None, max_examples=35)
 @given(matrices(3, 3, nonempty=True), st.integers(1, 4))
 def test_every_orbit_member_matches_naive_ex(p, n):
-    # ex_branch_bound searches one member of p's orbit whichever it is handed
+    # each image is searched as handed, sorted columns or not; ex_branch_bound
+    # itself searches one member whichever image it is handed
     want = naive_ex(n, p)
+    assert ex_branch_bound(n, p).value == want
     for image in symmetry_variants(p):
-        rec = ex_branch_bound(n, image)
+        rec = ex_on_member(n, image)
         assert rec.exact and rec.value == want, str(image)
+
+
+@pytest.mark.parametrize("text", ["1011", "11111", "0101/1010", "11/00/11"])
+def test_members_searched_only_on_large_boards_match_naive_ex(text):
+    # the one-row members of 1011 and 11111, 0101/1010 and 101/101 are what
+    # search_member takes once the other members' tables grow too large
+    images = symmetry_variants(parse_pattern(text))
+    for n in range(1, 5):
+        want = naive_ex(n, parse_pattern(text))
+        for image in images:
+            rec = ex_on_member(n, image)
+            assert rec.exact and rec.value == want, (n, str(image))
+    values = {ex_on_member(5, image).value for image in images}
+    assert len(values) == 1
+
+
+@CHECK
+@given(matrices(3, 3), st.integers(1, 3))
+def test_completion_table_matches_naive_completion(needle, n):
+    k, m = needle.num_rows, needle.num_cols
+    assume(k <= n)
+    comp = completion_table(needle.col_masks, k, n)
+    assert len(comp) == n + 1
+    for t, row in enumerate(comp):
+        assert len(row) == m
+        for s in range(m):
+            want = naive_completion(needle.col_masks, k, t, s)
+            assert row[s] == (DEAD if want is None else want), (t, s)
+            if s + 1 < m:
+                assert row[s + 1] <= row[s]
 
 
 @SEARCH
@@ -138,7 +177,11 @@ def test_desk_scale_boards_admitted():
 
 @pytest.mark.parametrize(
     "n, text, refused, searched",
-    [(13, "1010/0101", "01/10/01/10", "0101/1010"), (14, "11111", "1/1/1/1/1", "11111")],
+    [
+        (13, "1010/0101", "01/10/01/10", "0101/1010"),
+        (14, "11111", "1/1/1/1/1", "11111"),
+        (13, "11/00/11", "11/00/11", "101/101"),
+    ],
 )
 def test_orbit_member_whose_tables_fit_is_admitted(capped_address_space, n, text, refused, searched):
     # the member searched at small n needs more than MAX_TABLE_ENTRIES here

@@ -1,7 +1,14 @@
 import pytest
 
 from mnl.errors import InvalidInputError
-from mnl.extremal import equal_columns, ex_branch_bound, ex_exhaustive, growth_report, search_member
+from mnl.extremal import (
+    equal_columns,
+    ex_branch_bound,
+    ex_exhaustive,
+    ex_on_member,
+    growth_report,
+    search_member,
+)
 from mnl.patterns import (
     Pattern01,
     canonical_key,
@@ -81,7 +88,7 @@ class TestBranchBound:
             p = P(text)
             base = [ex_branch_bound(n, p).value for n in (2, 3, 4)]
             for image in symmetry_variants(p):
-                assert [ex_branch_bound(n, image).value for n in (2, 3, 4)] == base
+                assert [ex_on_member(n, image).value for n in (2, 3, 4)] == base
 
     def test_zero_line_monotonicity(self):
         for text in ("11", "11/11", "101/011"):
@@ -107,13 +114,18 @@ class TestBranchBound:
         with pytest.raises(InvalidInputError):
             ex_branch_bound(3, Pattern01(2, 2, frozenset()))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_one(self, n):
+        with pytest.raises(InvalidInputError, match="n must be >= 1"):
+            ex_branch_bound(n, P("11/11"))
+
     def test_single_row_bound_agrees_with_general_path(self):
-        # a single-row needle and its rotation lie in one orbit, so both are
-        # searched on the same member and must agree on square boards
+        # a single-row needle runs on one track per board row, its rotation
+        # on one track per set of rows; both must agree on square boards
         for text in ("11", "101", "1011"):
             p = P(text)
-            for n in range(1, 5):
-                assert ex_branch_bound(n, p).value == ex_branch_bound(n, rotate90(p)).value
+            for n in range(1, 6):
+                assert ex_on_member(n, p).value == ex_on_member(n, rotate90(p)).value
 
 
 class TestSortedColumns:
@@ -136,6 +148,20 @@ class TestSortedColumns:
             assert not equal_columns(search_member(p, n))
             rec = ex_branch_bound(n, p)
             assert rec.exact and rec.value == naive_ex(n, p)
+
+    @pytest.mark.parametrize(
+        "text, n, searched",
+        [
+            # equal-column and one-row members first, fewest table entries first
+            ("1/1/1", 8, "111"),
+            ("11111", 4, "1/1/1/1/1"),
+            ("1011", 6, "1/0/1/1"),
+            ("1/1/0/1", 7, "1011"),
+            ("101/101", 7, "11/00/11"),
+        ],
+    )
+    def test_member_choice(self, text, n, searched):
+        assert search_member(P(text), n) == P(searched)
 
     def test_canonical_representative_searched_without_equal_columns(self):
         for text in ("101/011", "1010/0101", "0010/0101"):
