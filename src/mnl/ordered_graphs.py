@@ -6,10 +6,19 @@ Vertices are 1..n in line order; edges are pairs (u, v) with u < v.
 Containment is non-induced: h contains g iff some strictly increasing
 injection of g's vertices maps every g-edge onto an h-edge.
 
-Containment runs on one kernel, _og_embed, over adjacency bitmasks of the
-host.  The exact search og_ex_exact adds edges in lexicographic order, so
+Containment runs on one placement loop, _place, over adjacency bitmasks of
+the host: each needle vertex has a mask of allowed host positions, and its
+candidates are those above the previous image that are adjacent to the
+images of its earlier neighbours.  og_contains first refuses a needle with
+more vertices or edges than the host, then allows needle vertex i only on
+host vertices with at least i's numbers of left and of right neighbours;
+an empty mask refuses at once.  It prepares the last host it saw and a
+bounded set of needles once, as immutable tuples, so the pipeline's run of
+one graph against every known family member builds the host's adjacency
+once.  The exact search og_ex_exact adds edges in lexicographic order, so
 a new copy of g must map g's last left endpoint L and L's last right
-neighbour onto the new edge: one embed pinned there decides each step.
+neighbour onto the new edge: one embed (_og_embed, the same loop with
+pins) pinned there decides each step.
 It bounds the rest of the board by exact extremal values on the smaller
 boards the last rows induce, solved first in the same call (the bootstrap
 used for exact Zarankiewicz numbers).
@@ -20,7 +29,9 @@ variant (used for cache keys and tsv cells).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -120,6 +131,39 @@ def _adjacency(n: int, edges) -> list[int]:
     return adj
 
 
+def _place(
+    adj: Sequence[int], mask: list[int], below: Sequence[Sequence[int]], k: int
+) -> bool:
+    """The placement loop every containment check runs: True iff needle
+    vertices 1..k can take increasing host positions, vertex i one of the
+    bits of mask[i], with every earlier neighbour listed in below[i] placed
+    on a host neighbour (bit y of adj[x] set iff x and y are adjacent).
+
+    Vertices are placed left to right; the candidates of vertex i are the
+    bits of mask[i] above the image of i-1, ANDed with adj[image] of each
+    vertex in below[i], and the loop walks their set bits with an explicit
+    stack."""
+    image = [0] * (k + 1)
+    untried = [0] * (k + 1)  # candidates of vertex i not yet tried
+    i, cand = 1, mask[1]
+    while True:
+        if cand:
+            low = cand & -cand
+            untried[i] = cand ^ low
+            image[i] = x = low.bit_length() - 1
+            if i == k:
+                return True
+            i += 1
+            cand = mask[i] >> (x + 1) << (x + 1)
+            for a in below[i]:
+                cand &= adj[image[a]]
+        else:
+            i -= 1
+            if not i:
+                return False
+            cand = untried[i]
+
+
 def _og_embed(
     adj: list[int],
     hay_n: int,
@@ -132,11 +176,8 @@ def _og_embed(
 
     mask[i] holds the positions g-vertex i may take: i..i+hay_n-k leaves
     room for the vertices on either side, each pin narrows every range to
-    its own side, and adj[pin] of each pinned neighbour is ANDed in.  The
-    search places the vertices left to right; the candidates of vertex i
-    are the bits of mask[i] above the image of i-1, ANDed with adj[image]
-    of each earlier unpinned neighbour, and it loops over their set bits
-    with an explicit stack."""
+    its own side, and adj[pin] of each pinned neighbour is ANDed in; the
+    edges between unpinned vertices go to _place."""
     k = g.num_vertices
     room = hay_n - k
     if room < 0:
@@ -159,30 +200,70 @@ def _og_embed(
             mask[a] &= adj[pins[b]]
         else:
             below[b].append(a)
-    image = [0] * (k + 1)
-    untried = [0] * (k + 1)  # candidates of vertex i not yet tried
-    i, cand = 1, mask[1]
-    while True:
-        if cand:
-            low = cand & -cand
-            untried[i] = cand ^ low
-            image[i] = x = low.bit_length() - 1
-            if i == k:
-                return True
-            i += 1
-            cand = mask[i] >> (x + 1) << (x + 1)
-            for a in below[i]:
-                cand &= adj[image[a]]
-        else:
-            i -= 1
-            if not i:
-                return False
-            cand = untried[i]
+    return _place(adj, mask, below, k)
+
+
+def _side_degrees(n: int, edges) -> tuple[list[int], list[int]]:
+    """Per vertex 1..n, its numbers of left and of right neighbours."""
+    left, right = [0] * (n + 1), [0] * (n + 1)
+    for u, v in edges:
+        right[u] += 1
+        left[v] += 1
+    return left, right
+
+
+@lru_cache(maxsize=1)
+def _host(h: OrderedGraph) -> tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(vertices, edges, adjacency, at_left, at_right) of an n-vertex host:
+    at_left[d] has bit x set iff x has at least d left neighbours, for
+    d < n, and at_right likewise.  One entry: the pipeline asks about one
+    host many times in a row."""
+    n = h.num_vertices
+    left, right = _side_degrees(n, h.edges)
+
+    def at_least(degree: list[int]) -> tuple[int, ...]:
+        return tuple(
+            sum(1 << x for x in range(1, n + 1) if degree[x] >= d) for d in range(n)
+        )
+
+    return n, len(h.edges), tuple(_adjacency(n, h.edges)), at_least(left), at_least(right)
+
+
+@lru_cache(maxsize=256)
+def _needle(
+    g: OrderedGraph,
+) -> tuple[int, int, tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...]]:
+    """(vertices, edges, degrees, below) of a needle: degrees lists (i,
+    left neighbours of i, right neighbours of i) for i = 1..k, and below[b]
+    the left neighbours of b.  Room for the known family members and more."""
+    k = g.num_vertices
+    left, right = _side_degrees(k, g.edges)
+    below: list[list[int]] = [[] for _ in range(k + 1)]
+    for a, b in g.edges:
+        below[b].append(a)
+    degrees = tuple((i, left[i], right[i]) for i in range(1, k + 1))
+    return k, len(g.edges), degrees, tuple(map(tuple, below))
 
 
 def og_contains(h: OrderedGraph, g: OrderedGraph) -> bool:
-    """True iff h has a subgraph order-isomorphic to g (extra edges allowed)."""
-    return _og_embed(_adjacency(h.num_vertices, h.edges), h.num_vertices, g)
+    """True iff h has a subgraph order-isomorphic to g (extra edges allowed).
+
+    Screens first: g may not have more vertices or edges than h, and g's
+    vertex i may only go to host vertices with at least as many left
+    neighbours and as many right neighbours as i, since a copy sends i's
+    left and right neighbours to distinct host vertices on the same sides."""
+    k, size, degrees, below = _needle(g)
+    n, edges, adj, at_left, at_right = _host(h)
+    if k > n or size > edges:
+        return False
+    span = (2 << (n - k)) - 1
+    mask = [0]
+    for i, left, right in degrees:  # left, right < k <= n
+        allowed = span << i & at_left[left] & at_right[right]
+        if not allowed:
+            return False
+        mask.append(allowed)
+    return _place(adj, mask, below, k)
 
 
 # ---------------------------------------------------------------------------

@@ -416,12 +416,12 @@ def og_structural_filter(g: OrderedGraph, parts: Bipartition) -> CandidateReport
             FilterCheck("bipartite-reduction", "fail", f"vertex {heavy[0]} keeps several neighbors after reduction")
         )
 
-    strict_hits = [m for m in _known_og_members() if m != g and og_contains(g, m)]
+    hit = next((m for m in _known_og_members() if m != g and og_contains(g, m)), None)
     checks.append(
         FilterCheck(
             "strict-known-containment",
-            "fail" if strict_hits else "pass",
-            f"strictly contains {strict_hits[0]}" if strict_hits else "contains no known family member strictly",
+            "fail" if hit is not None else "pass",
+            f"strictly contains {hit}" if hit is not None else "contains no known family member strictly",
         )
     )
 

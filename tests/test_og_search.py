@@ -1,15 +1,19 @@
-"""The ordered-graph bitmask kernel and exact search against the naive
-oracles, and searches deeper than Python's recursion limit."""
+"""The ordered-graph bitmask kernel, containment and exact search against
+the naive oracles, and searches deeper than Python's recursion limit."""
 import json
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mnl.cli import main
 from mnl.ordered_graphs import (
     OrderedGraph,
     _adjacency,
     _og_embed,
+    og_contains,
     og_ex_exact,
     og_insert_isolated,
     parse_ordered_graph,
@@ -17,8 +21,18 @@ from mnl.ordered_graphs import (
 
 from oracles import naive_og_contains, naive_og_ex
 
+G = parse_ordered_graph
 CHECK = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 SEARCH = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+def random_graph(rng, max_vertices):
+    n = rng.randint(1, max_vertices)
+    density = rng.random()
+    edges = frozenset(
+        (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < density
+    )
+    return OrderedGraph(n, edges)
 
 
 @st.composite
@@ -36,6 +50,15 @@ def needles(draw, max_vertices):
     if draw(st.booleans()):
         g = og_insert_isolated(g, draw(st.integers(0, g.num_vertices)))
     return g
+
+
+@st.composite
+def contains_queries(draw):
+    """Two hosts on up to 8 vertices and a needle on up to 6: any graph, one
+    with an isolated vertex, an edgeless one, or the first host itself."""
+    a, b = draw(graphs(8)), draw(graphs(8))
+    edgeless = st.integers(1, 6).map(lambda n: OrderedGraph(n, frozenset()))
+    return a, b, draw(st.one_of(graphs(6), needles(6), edgeless, st.just(a)))
 
 
 def naive_pinned_contains(h, g, pins):
@@ -67,6 +90,37 @@ def test_pinned_embed_matches_naive(h, g, data):
     pins = {a: data.draw(st.integers(1, h.num_vertices)) for a in sorted(pinned)}
     adj = _adjacency(h.num_vertices, h.edges)
     assert _og_embed(adj, h.num_vertices, g, pins) == naive_pinned_contains(h, g, pins)
+
+
+@CHECK
+@given(contains_queries())
+@example((G("n=5;1 2;3 4"), G("n=4;1 2;2 3;3 4"), G("n=6;1 2")))  # more vertices
+@example((G("n=6;1 6"), G("n=3;1 2;1 3;2 3"), G("n=3;1 2;2 3")))  # more edges than A
+@example((G("n=4"), G("n=4;1 2"), G("n=4")))  # edgeless needle and host
+@example((G("n=4;2 4"), G("n=5;1 3;2 4"), G("n=4;1 3")))  # isolated vertices
+@example((G("n=5;1 3;2 5;3 4"), G("n=5;1 2"), G("n=5;1 3;2 5;3 4")))  # needle is A
+def test_og_contains_matches_naive(query):
+    a, b, g = query
+    for h in (a, b, a):  # a host cache that kept B would answer wrongly for A
+        assert og_contains(h, g) == naive_og_contains(h, g)
+
+
+def test_og_contains_is_thread_safe():
+    rng = random.Random(11)
+    hosts = [random_graph(rng, 8) for _ in range(12)]
+    guests = [random_graph(rng, 6) for _ in range(12)]
+    pairs = [(h, g) for h in hosts for g in guests] * 3
+    serial = [og_contains(h, g) for h, g in pairs]
+    order = list(range(len(pairs)))
+    rng.shuffle(order)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the cached preparations too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            found = list(pool.map(lambda j: og_contains(*pairs[j]), order, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert found == [serial[j] for j in order]
 
 
 @SEARCH

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -17,6 +18,7 @@ from mnl.pipeline import (
     _col_range,
     _construction,
     _count_bound,
+    _known_og_members,
     construction_patterns,
     enumerate_candidates,
     enumerate_og_candidates,
@@ -28,7 +30,7 @@ from mnl.pipeline import (
     structural_filter,
 )
 
-from oracles import sum_matrix_bound, sum_og_bound, sum_seq_bound
+from oracles import naive_og_contains, sum_matrix_bound, sum_og_bound, sum_seq_bound
 
 P = parse_pattern
 G = parse_ordered_graph
@@ -308,6 +310,29 @@ class TestOgStructuralFilter:
                 G("n=3;1 2"), Bipartition(frozenset({1, 2}), frozenset({3}))
             )
 
+    def test_containment_detail_matches_oracle(self):
+        # every realization of the k=3, 2..3-column candidates: the report
+        # names the first known member, in _known_og_members() order, that
+        # the naive oracle finds strictly inside the graph
+        members = list(_known_og_members())
+        seen = set()
+        rejected = several = 0
+        for report in enumerate_candidates(3, 2, 3):
+            p = report.pattern
+            for g in go_family(p) - seen:
+                seen.add(g)
+                hits = [m for m in members if m != g and naive_og_contains(g, m)]
+                rep = og_structural_filter(g, realizing_bipartitions(g, p)[0])
+                check = next(c for c in rep.checks if c.name == "strict-known-containment")
+                if hits:
+                    assert (check.status, check.detail) == ("fail", f"strictly contains {hits[0]}")
+                    assert rep.verdict == "rejected"
+                else:
+                    assert check.status == "pass"
+                rejected += bool(hits)
+                several += len(hits) > 1
+        assert (len(seen), rejected, several) == (980, 441, 50)
+
     def test_unbalanced_parts_rejected(self):
         # a star with one center and four leaves: parts 1 and 4 exceed 4*1-2
         g = G("n=5;1 2;1 3;1 4;1 5")
@@ -326,6 +351,11 @@ class TestOgEnumeration:
         for m in known_mnl_2row():
             expected.update(str(g) for g in go_family(m))
         assert known == expected
+
+    def test_stream_counts(self):
+        verdicts = Counter(r.verdict for r in enumerate_og_candidates(2, 1, 6))
+        assert verdicts == {"structural-candidate": 519, "known-mnl": 73}
+        assert sum(1 for _ in enumerate_og_candidates(3, 2, 3)) == 539
 
     def test_no_duplicates(self):
         reports = list(enumerate_og_candidates(2, 2, 4))
