@@ -304,7 +304,23 @@ def _cmd_operation(args, out) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
+def _reached(argv: list[str]) -> tuple[str, str | None] | None:
+    """The (command, leaf) row argv names in its first words, or None when it
+    names none (help, a usage error)."""
+    command = argv[0] if argv else None
+    has_leaves = command in _COMMANDS and _COMMANDS[command][1] is not None
+    row = command, argv[1] if has_leaves and len(argv) > 1 else None
+    return row if any(row == (c, leaf) for c, leaf, _, _ in _OPERATIONS) else None
+
+
+def build_parser(argv: list[str] | None = None) -> _Parser:
+    """The parser of every command.  Given an argv that names one row of
+    _OPERATIONS, only the parsers on that row's path are built: the other
+    commands and leaves are registered by name alone, so usage lines read
+    the same, and argparse only ever looks up the parser argv names.  Any
+    other argv gets the full tree, so help pages and the errors of unknown
+    names come from it."""
+    target = None if argv is None else _reached(argv)
     common = _Parser(add_help=False)
     common.add_argument("--cache", default=None, help="cache path (default $MNL_CACHE or ./mnl-cache.jsonl)")
     common.add_argument("--format", choices=("json", "tsv"), default="json")
@@ -315,12 +331,18 @@ def build_parser() -> _Parser:
     leaves = {}
     for command, leaf, flags, operation in _OPERATIONS:
         about, dest = _COMMANDS[command]
+        if target is not None and command != target[0]:
+            sub.choices.setdefault(command, None)
+            continue
         if leaf is None:
             sp = sub.add_parser(command, parents=[common], help=about)
         else:
             if command not in leaves:
                 leaves[command] = sub.add_parser(command, help=about).add_subparsers(
                     dest=dest, required=True, parser_class=_Parser)
+            if target is not None and leaf != target[1]:
+                leaves[command].choices[leaf] = None
+                continue
             sp = leaves[command].add_parser(leaf, parents=[common])
         for flag in flags.split():
             sp.add_argument(flag, **{"required": True, **_OPERAND_OPTIONS.get(flag, {})})
@@ -329,7 +351,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -11,8 +11,10 @@ matching how they are usually listed).
 The matrix stream does not filter every pattern the counting bound counts:
 it builds the leftmost-one construction column by column and cuts a prefix
 at the first check it fails that more columns cannot mend (a run of 3 or an
-abab in the scan word, a known 2-row matrix contained), then runs
-structural_filter on the survivors only.
+abab in the scan word, a known 2-row matrix contained).  A survivor passes
+every check of structural_filter by construction, so the stream writes its
+report without running the filter again; only the known seven, seeded at
+k = 2, go through structural_filter.
 """
 from __future__ import annotations
 
@@ -98,6 +100,26 @@ def known_mnl_2row() -> frozenset[Pattern01]:
     return frozenset(base + [reflect_vertical(p) for p in base[1:]])
 
 
+# The checks a construction survivor passes whatever its shape.
+_ZERO_FREE = FilterCheck("zero-lines", "pass", "no all-zero row or column")
+_LEFTMOST_PASS = FilterCheck(
+    "leftmost-reduction", "pass", "at most one one per column after removing leftmost ones"
+)
+_STRICT_PASS = FilterCheck("strict-2row-containment", "pass", "contains no known 2-row matrix strictly")
+
+
+def _range_checks(k: int, c: int, ones: int) -> tuple[FilterCheck, FilterCheck]:
+    lo, hi = _col_range(k)
+    ok = lo <= c <= hi
+    cols = FilterCheck("column-range", "pass" if ok else "fail", f"columns {c} vs allowed [{lo}, {hi}] for {k} rows")
+    ok = k <= ones <= 5 * k - 3
+    return cols, FilterCheck("ones-range", "pass" if ok else "fail", f"ones {ones} vs allowed [{k}, {5 * k - 3}]")
+
+
+def _scan_pass(word: Sequence) -> FilterCheck:
+    return FilterCheck("scan-word", "pass", f"scan word {word} has short runs and no abab")
+
+
 def structural_filter(p: Pattern01) -> CandidateReport:
     """Run the matrix candidate checks in order, recording each verdict.
     Failures are reported, never raised."""
@@ -110,32 +132,9 @@ def structural_filter(p: Pattern01) -> CandidateReport:
     cols_with = {cc for _, cc in p.ones}
     zero_free = len(rows_with) == k and len(cols_with) == c
     checks.append(
-        FilterCheck(
-            "zero-lines",
-            "pass" if zero_free else "fail",
-            "no all-zero row or column" if zero_free else "has an all-zero row or column",
-        )
+        _ZERO_FREE if zero_free else FilterCheck("zero-lines", "fail", "has an all-zero row or column")
     )
-
-    lo, hi = _col_range(k)
-    ok = lo <= c <= hi
-    checks.append(
-        FilterCheck(
-            "column-range",
-            "pass" if ok else "fail",
-            f"columns {c} vs allowed [{lo}, {hi}] for {k} rows",
-        )
-    )
-
-    ones = len(p.ones)
-    ok = k <= ones <= 5 * k - 3
-    checks.append(
-        FilterCheck(
-            "ones-range",
-            "pass" if ok else "fail",
-            f"ones {ones} vs allowed [{k}, {5 * k - 3}]",
-        )
-    )
+    checks += _range_checks(k, c, len(p.ones))
 
     if not zero_free:
         skipped = "skipped: needs a pattern without zero lines"
@@ -148,9 +147,7 @@ def structural_filter(p: Pattern01) -> CandidateReport:
             col_loads[cc - 1] += 1
         ok = all(load <= 1 for load in col_loads)
         if ok:
-            checks.append(
-                FilterCheck("leftmost-reduction", "pass", "at most one one per column after removing leftmost ones")
-            )
+            checks.append(_LEFTMOST_PASS)
         elif p in known_mnl_2row():
             checks.append(
                 FilterCheck("leftmost-reduction", "exception", "multi-one column allowed for this exceptional matrix")
@@ -164,7 +161,7 @@ def structural_filter(p: Pattern01) -> CandidateReport:
         longest_run = max(length for _, length in blocks(word).runs)
         has_abab = seq_contains(word, ABAB)
         if longest_run < 3 and not has_abab:
-            checks.append(FilterCheck("scan-word", "pass", f"scan word {word} has short runs and no abab"))
+            checks.append(_scan_pass(word))
         elif p in known_mnl_2row():
             checks.append(FilterCheck("scan-word", "exception", "abab scan word allowed for this exceptional matrix"))
         else:
@@ -175,11 +172,8 @@ def structural_filter(p: Pattern01) -> CandidateReport:
         m for m in known_mnl_2row() if m != p and contains(p, m)
     ]
     checks.append(
-        FilterCheck(
-            "strict-2row-containment",
-            "fail" if strict_hits else "pass",
-            f"strictly contains {strict_hits[0]}" if strict_hits else "contains no known 2-row matrix strictly",
-        )
+        FilterCheck("strict-2row-containment", "fail", f"strictly contains {strict_hits[0]}")
+        if strict_hits else _STRICT_PASS
     )
 
     if any(ch.status == "fail" for ch in checks):
@@ -198,35 +192,57 @@ class _PrefixScreen:
     The 5k-3 ones cap needs no check: a construction pattern has at most
     k + num_cols - 1 ones, and num_cols <= 4k - 2.
 
-    A state is (last scan letter as a row bit, its run length, abab track
-    states, known-matrix track states).  The scan word is built left to
-    right, so a prefix's word is a prefix of the full word; its letters stay
-    raw row numbers, since renaming changes neither runs nor abab.
+    The screen is a product automaton built as it is used.  A state is one
+    int: the last scan letter as a row bit in the low k bits, its run length
+    in the next two, then a fixed-width field per track (the abab tracks,
+    then the known-matrix tracks).  advance answers a (state, mask) pair it
+    has seen from its memo and steps every track only on a miss.  The scan
+    word is built left to right, so a prefix's word is a prefix of the full
+    word; its letters stay raw row numbers, since renaming changes neither
+    runs nor abab.
     """
 
     def __init__(self, k: int) -> None:
-        self.abab = sequence_tables(ABAB.letters, k)
-        self.known = [t for m in known_mnl_2row() for t in matrix_tables(m.col_masks, 2, k)]
-        self.tracks = self.abab + self.known
-        self.start = (0, 0, (0,) * len(self.abab), (0,) * len(self.known))
+        self.k = k
+        abab = sequence_tables(ABAB.letters, k)
+        known = [t for m in known_mnl_2row() for t in matrix_tables(m.col_masks, 2, k)]
+        # (table, whether it reads the scan symbol rather than the column mask)
+        self.tracks = [(t, True) for t in abab] + [(t, False) for t in known]
+        # a live track state is below its table's length
+        self.width = max(len(t) - 1 for t, _ in self.tracks).bit_length()
+        self.start = 0
+        self.memo: dict[tuple[int, int], int | None] = {}
 
-    def advance(self, state, mask: int):
+    def advance(self, state: int, mask: int) -> int | None:
         """The state after one more column, or None once a check fails."""
-        prev, run, abab, known = state
+        key = state, mask
+        try:
+            return self.memo[key]
+        except KeyError:
+            nxt = self.memo[key] = self._step(state, mask)
+            return nxt
+
+    def _step(self, state: int, mask: int) -> int | None:
+        k, width = self.k, self.width
+        prev = state & ((1 << k) - 1)
         # scan_reduction's letter: the topmost one-row other than the last
         # letter, or the column's only row
         rest = mask & ~prev or mask
         letter = rest & -rest
-        run = run + 1 if letter == prev else 1
+        run = (state >> k & 3) + 1 if letter == prev else 1
         if run >= 3:
             return None
         symbol = letter.bit_length()
-        abab = tuple(table[s][symbol] for table, s in zip(self.abab, abab))
-        known = tuple(table[s][mask] for table, s in zip(self.known, known))
-        # a track has found its needle once its state reaches its table's length
-        if any(s == len(table) for table, s in zip(self.tracks, abab + known)):
-            return None
-        return letter, run, abab, known
+        field = (1 << width) - 1
+        nxt, shift = letter | run << k, k + 2
+        for table, by_symbol in self.tracks:
+            s = table[state >> shift & field][symbol if by_symbol else mask]
+            # a track has found its needle once its state reaches its table's length
+            if s == len(table):
+                return None
+            nxt |= s << shift
+            shift += width
+        return nxt
 
 
 def _construction(k: int, num_cols: int, screen: _PrefixScreen | None = None) -> Iterator[Pattern01]:
@@ -282,13 +298,18 @@ def enumerate_candidates(
     counts in [col_min, col_max], in column-count-then-row-string order.
 
     The construction is built column by column, and a prefix is cut at the
-    first monotone check of structural_filter it fails (_PrefixScreen), so
-    only the survivors are filtered; the stream is the same as filtering
-    every construction pattern.  The screen cuts every known 2-row matrix,
-    since each contains itself (and the leftmost-one reconstruction cannot
-    reach the three whose reduced form keeps a multi-one column), so for
-    k = 2 the known seven are seeded into the stream alongside the
-    construction.
+    first monotone check of structural_filter it fails (_PrefixScreen); the
+    stream is the same as filtering every construction pattern.  Each
+    survivor passes all six checks, and its report says so without running
+    them again: it has no zero line (every row is started, every column
+    holds a one), its column count lies in the range checked below, it has
+    at most k + num_cols - 1 <= 5k - 3 ones, removing each row's leftmost one
+    leaves at most the one extra per column, and the screen proved its scan
+    word and its strict 2-row containment.  The screen cuts every known
+    2-row matrix, since each contains itself (and the leftmost-one
+    reconstruction cannot reach the three whose reduced form keeps a
+    multi-one column), so for k = 2 the known seven are seeded into the
+    stream through structural_filter.
     """
     _check_k(k)
     lo, hi = _col_range(k)
@@ -298,13 +319,15 @@ def enumerate_candidates(
         )
     screen = _PrefixScreen(k)
     for i in range(col_min, col_max + 1):
-        batch = set(_construction(k, i, screen))
+        batch = {}
+        for p in _construction(k, i, screen):
+            checks = (_ZERO_FREE, *_range_checks(k, i, len(p.ones)), _LEFTMOST_PASS,
+                      _scan_pass(scan_reduction(p)), _STRICT_PASS)
+            batch[str(p)] = CandidateReport(p, checks, "structural-candidate")
         if k == 2:
-            batch.update(m for m in known_mnl_2row() if m.num_cols == i)
-        for p in sorted(batch, key=str):
-            report = structural_filter(p)
-            if report.verdict != "rejected":
-                yield report
+            batch.update((str(m), structural_filter(m)) for m in known_mnl_2row() if m.num_cols == i)
+        for key in sorted(batch):
+            yield batch[key]
 
 
 def matrix_count_bound(k: int) -> int:

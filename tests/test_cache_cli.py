@@ -590,6 +590,43 @@ class TestCliExitCodes:
         code, out, err = run_cli(capsys, *shlex.split(argv), *cache_args(tmp_path))
         assert code == 1 and out == "" and "unrecognized arguments" in err
 
+    # main builds only the parsers its argv reaches; every help page and
+    # usage error it prints must read as the full tree prints it
+    HELP_PAGES = sorted({
+        argv for command, leaf, _, _ in mnl.cli._OPERATIONS
+        for argv in ((command, "--help"), (command, leaf, "--help") if leaf else (command, "-h"))
+    }) + [("--help",)]
+    USAGE_ERRORS = [
+        (), ("frobnicate",), ("enum",), ("enum", "nope"), ("enum", "matrix"), ("reduce", "leftmost"),
+        ("ex", "--pattern", "11"), ("enum", "matrix", "--k", "2", "--cap", "3"), ("known", "--budget", "5"),
+        ("enum", "matrix", "--k", "x"), ("known", "extra"), ("--cache", "c.jsonl", "known"),
+        ("transform", "zero-line", "--pattern", "11", "--axis", "diagonal", "--index", "1"),
+    ]
+
+    @pytest.mark.parametrize("argv", HELP_PAGES + USAGE_ERRORS, ids=" ".join)
+    def test_text_equals_the_full_parser(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        full_out, full_err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(full_out), contextlib.redirect_stderr(full_err):
+            try:
+                mnl.cli.build_parser().parse_args(list(argv))
+            except mnl.cli._UsageError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+            except SystemExit:
+                pass
+        assert (out, err) == (full_out.getvalue(), full_err.getvalue())
+        assert code == (0 if argv in self.HELP_PAGES else 1)
+        assert (out if code == 0 else err).startswith("usage: mnl")
+
+    def test_main_builds_only_the_parsers_argv_reaches(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = mnl.cli._Parser.__init__
+        monkeypatch.setattr(mnl.cli._Parser, "__init__", lambda self, **kw: built.append(kw) or init(self, **kw))
+        code, out, _ = run_cli(capsys, "enum", "matrix", "--k", "2", "--col-max", "2", *cache_args(tmp_path))
+        assert code == 0 and out
+        # the shared flags, mnl, enum and enum matrix
+        assert len(built) == 4
+
     # a leaf takes its row's flags and the two every command accepts
     def test_each_leaf_takes_exactly_its_flags(self):
         def choices(parser):

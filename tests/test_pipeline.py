@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from functools import cache
 from itertools import product
 
 import pytest
@@ -30,7 +31,14 @@ from mnl.pipeline import (
     structural_filter,
 )
 
-from oracles import naive_og_contains, sum_matrix_bound, sum_og_bound, sum_seq_bound
+from oracles import (
+    naive_contains,
+    naive_og_contains,
+    naive_seq_contains,
+    sum_matrix_bound,
+    sum_og_bound,
+    sum_seq_bound,
+)
 
 P = parse_pattern
 G = parse_ordered_graph
@@ -136,11 +144,16 @@ class TestEnumerate:
             assert 2 <= len(p.ones) <= 7
             assert rep.verdict != "rejected"
 
+    # the stream writes its survivors' reports from what the screen proved;
+    # each must be the report structural_filter gives
     def test_reports_are_reproducible(self):
-        reports = list(enumerate_candidates(2, 1, 4))
-        for rep in reports:
-            again = structural_filter(rep.pattern)
-            assert again == rep
+        for k, col_min, col_max in ((2, 1, 4), (3, 2, 10)):
+            for rep in enumerate_candidates(k, col_min, col_max):
+                assert structural_filter(rep.pattern) == rep
+
+    def test_k4_counts_per_column(self):
+        counts = Counter(r.pattern.num_cols for r in enumerate_candidates(4, 2, 5))
+        assert counts == {2: 46, 3: 479, 4: 2430, 5: 7720}
 
     def test_stream_deterministic(self):
         a = [str(r.pattern) for r in enumerate_candidates(2, 1, 6)]
@@ -160,7 +173,7 @@ class TestEnumerate:
     # The screened construction alone keeps exactly the constructed
     # patterns that are not rejected, less the known seven: each contains
     # itself, so the screen cuts it.
-    @pytest.mark.parametrize("k, col_min, col_max", [(2, 1, 6), (3, 2, 6), (4, 2, 3)])
+    @pytest.mark.parametrize("k, col_min, col_max", [(2, 1, 6), (3, 2, 6), (3, 2, 7), (4, 2, 3)])
     def test_stream_equals_filtered_construction(self, k, col_min, col_max):
         screen = _PrefixScreen(k)
         expected = []
@@ -218,6 +231,48 @@ class TestEnumerate:
     def test_rejects_empty_pattern(self):
         with pytest.raises(InvalidInputError):
             structural_filter(Pattern01(2, 2, frozenset()))
+
+
+@cache
+def shared_screen(k):
+    return _PrefixScreen(k)
+
+
+class TestPrefixScreen:
+    # Every example at one k steps the same screen, so an answer its memo
+    # kept from an earlier example, if stale, fails here.
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(st.integers(2, 4).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=8))
+    ))
+    def test_cut_at_the_first_failing_column(self, case):
+        """A prefix of columns is cut exactly where its raw scan letters first
+        have a run of 3 or an abab, or it first contains a known 2-row
+        matrix."""
+        k, masks = case
+        letters = []
+        expected = None
+        for c, mask in enumerate(masks, 1):
+            rows = [r for r in range(1, k + 1) if mask >> (r - 1) & 1]
+            letters.append(rows[0] if len(rows) == 1 or c == 1 else next(r for r in rows if r != letters[-1]))
+            prefix = Pattern01(k, c, frozenset(
+                (r, j) for j, m in enumerate(masks[:c], 1) for r in range(1, k + 1) if m >> (r - 1) & 1
+            ))
+            if (
+                letters[-3:] == [letters[-1]] * 3
+                or naive_seq_contains(letters, (1, 2, 1, 2))
+                or any(naive_contains(prefix, m) for m in known_mnl_2row())
+            ):
+                expected = c
+                break
+        screen = shared_screen(k)
+        state, got = screen.start, None
+        for c, mask in enumerate(masks, 1):
+            state = screen.advance(state, mask)
+            if state is None:
+                got = c
+                break
+        assert got == expected
 
 
 class TestBounds:
