@@ -6,13 +6,21 @@ symbols.  Each such choice is a *track*.  On a track the needle occurs iff
 its columns (letters) occur as a subsequence of the board's, where a board
 letter matches needle position s when it covers the board mask need[s] the
 track assigns to s.  Greedy earliest matching decides a subsequence
-exactly, so one integer per track, the number of needle positions matched,
-is all a search has to carry; the board contains the needle iff some track
-reaches the needle length m.
+exactly, so the number of needle positions a track has matched is all a
+search has to carry; the board contains the needle iff some track reaches
+the needle length m.
 
-Tables are plain lists built per call, so callers stay thread-safe.  Their
-size grows exponentially; builders refuse one above MAX_TABLE_ENTRIES
-before allocating anything.
+Matrix tracks keep that number as one integer per track, advanced by table
+lookup.  Sequence tracks are stepped together, bit-parallel in the style of
+Shift-And (Baeza-Yates and Gonnet, CACM 1992): their state is one int of m
+fields of T bits, T the number of tracks, where field j holds the tracks
+that have matched j positions.  A board letter moves the tracks whose next
+position it matches one field up, so one letter is a few big-int
+operations, and the state is itself a compact memo key.
+
+Tables are plain lists and ints built per call, so callers stay
+thread-safe.  Their size grows exponentially; builders refuse one above
+MAX_TABLE_ENTRIES before allocating anything.
 """
 from __future__ import annotations
 
@@ -22,6 +30,10 @@ from math import comb, perm
 from .errors import InvalidInputError
 
 MAX_TABLE_ENTRIES = 1 << 22
+# entries a memoized search keeps at most, a key longer than MEMO_KEY_BITS
+# counting as several; past it, the oldest are dropped and recomputed
+MAX_MEMO_ENTRIES = 1 << 20
+MEMO_KEY_BITS = 1 << 10
 # completion value of a state every continuation completes from; far below
 # any sum of real values, so one dead track sinks a sum of them
 DEAD = -(1 << 62)
@@ -75,13 +87,26 @@ def completion_table(col_masks: tuple[int, ...], k: int, n: int) -> list[list[in
     return comp
 
 
-def sequence_tables(letters: tuple[int, ...], num_symbols: int) -> list[list[list[int]]]:
-    """One track per injective map of the needle's symbols into board symbols
-    1..num_symbols, indexed by board symbol (0 unused)."""
-    r = len(set(letters))
-    _check_size(perm(num_symbols, r) * len(letters) * (num_symbols + 1), f"a board of {num_symbols} symbols")
-    needs = [
-        [1 << image[x - 1] for x in letters]
-        for image in permutations(range(1, num_symbols + 1), r)
-    ]
-    return _tables(needs, [1 << x for x in range(num_symbols + 1)])
+def sequence_automaton(letters: tuple[int, ...], num_symbols: int) -> tuple[int, list[int]]:
+    """The tracks of a sequence needle over board symbols 1..num_symbols,
+    one per injective map of its symbols into them, packed bit-parallel.
+
+    Returns (T, at): T tracks, and per board symbol x (index 0 unused) an
+    int whose field j (bits j*T .. j*T+T-1) holds the tracks that map needle
+    position j to x.  From the start state (1 << T) - 1, one letter x is
+
+        moved = state & at[x]
+        state = state ^ moved | moved << T
+
+    and the board contains the needle iff state >> (T * len(letters)) != 0.
+    """
+    r, m = len(set(letters)), len(letters)
+    _check_size(perm(num_symbols, r) * m * (num_symbols + 1), f"a board of {num_symbols} symbols")
+    images = list(permutations(range(1, num_symbols + 1), r))
+    tracks = len(images)
+    bits = [bytearray((tracks * m + 7) // 8) for _ in range(num_symbols + 1)]
+    for t, image in enumerate(images):
+        for j, x in enumerate(letters):
+            pos = j * tracks + t
+            bits[image[x - 1]][pos >> 3] |= 1 << (pos & 7)
+    return tracks, [int.from_bytes(b, "little") for b in bits]

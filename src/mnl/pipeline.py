@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Union
 
-from .automaton import matrix_tables, sequence_tables
+from .automaton import matrix_tables, sequence_automaton
 from .errors import InvalidInputError
 from .ordered_graphs import (
     Bipartition,
@@ -37,6 +37,7 @@ from .ordered_graphs import (
 )
 from .patterns import (
     Pattern01,
+    canonical_key,
     contains,
     parse_pattern,
     reduce_leftmost,
@@ -194,23 +195,23 @@ class _PrefixScreen:
 
     The screen is a product automaton built as it is used.  A state is one
     int: the last scan letter as a row bit in the low k bits, its run length
-    in the next two, then a fixed-width field per track (the abab tracks,
-    then the known-matrix tracks).  advance answers a (state, mask) pair it
-    has seen from its memo and steps every track only on a miss.  The scan
-    word is built left to right, so a prefix's word is a prefix of the full
-    word; its letters stay raw row numbers, since renaming changes neither
-    runs nor abab.
+    in the next two, then the abab tracks' packed state
+    (automaton.sequence_automaton), then a fixed-width field per
+    known-matrix track.  advance answers a (state, mask) pair it has seen
+    from its memo and steps every track only on a miss.  The scan word is
+    built left to right, so a prefix's word is a prefix of the full word;
+    its letters stay raw row numbers, since renaming changes neither runs
+    nor abab.
     """
 
     def __init__(self, k: int) -> None:
         self.k = k
-        abab = sequence_tables(ABAB.letters, k)
-        known = [t for m in known_mnl_2row() for t in matrix_tables(m.col_masks, 2, k)]
-        # (table, whether it reads the scan symbol rather than the column mask)
-        self.tracks = [(t, True) for t in abab] + [(t, False) for t in known]
+        self.abab_tracks, self.abab_at = sequence_automaton(ABAB.letters, k)
+        self.abab_bits = self.abab_tracks * len(ABAB.letters)
+        self.known = [t for m in known_mnl_2row() for t in matrix_tables(m.col_masks, 2, k)]
         # a live track state is below its table's length
-        self.width = max(len(t) - 1 for t, _ in self.tracks).bit_length()
-        self.start = 0
+        self.width = max(len(t) - 1 for t in self.known).bit_length()
+        self.start = ((1 << self.abab_tracks) - 1) << (k + 2)
         self.memo: dict[tuple[int, int], int | None] = {}
 
     def advance(self, state: int, mask: int) -> int | None:
@@ -232,11 +233,17 @@ class _PrefixScreen:
         run = (state >> k & 3) + 1 if letter == prev else 1
         if run >= 3:
             return None
-        symbol = letter.bit_length()
+        shift = k + 2
+        abab = state >> shift & ((1 << self.abab_bits) - 1)
+        moved = abab & self.abab_at[letter.bit_length()]
+        abab = abab ^ moved | moved << self.abab_tracks
+        if abab >> self.abab_bits:
+            return None
+        nxt = letter | run << k | abab << shift
+        shift += self.abab_bits
         field = (1 << width) - 1
-        nxt, shift = letter | run << k, k + 2
-        for table, by_symbol in self.tracks:
-            s = table[state >> shift & field][symbol if by_symbol else mask]
+        for table in self.known:
+            s = table[state >> shift & field][mask]
             # a track has found its needle once its state reaches its table's length
             if s == len(table):
                 return None
@@ -463,11 +470,22 @@ def enumerate_og_candidates(
     """Bipartite ordered-graph candidates: every realization of every
     non-rejected k-row matrix candidate, run through og_structural_filter
     with its unique realizing bipartition (the part holding vertex 1 plays
-    the role of part_u).  Each graph is emitted once."""
+    the role of part_u).  Each graph is emitted once.
+
+    go_family is the same for every member of a dihedral orbit: the
+    reflections are its row and column direction flips, a transpose swaps
+    which positions hold rows, and its uniqueness test takes the whole
+    orbit.  So only an orbit's first candidate is expanded; every graph a
+    later member would give is already seen."""
     seen: set[OrderedGraph] = set()
+    expanded: set[str] = set()
     for report in enumerate_candidates(k, col_min, col_max):
         p = report.pattern
         assert isinstance(p, Pattern01)
+        orbit = canonical_key(p)
+        if orbit in expanded:
+            continue
+        expanded.add(orbit)
         for g in sorted(go_family(p), key=str):
             if g in seen:
                 continue

@@ -9,8 +9,10 @@ non-linear sequences all live here.
 The exact search and the candidate stream grow words one letter at a time
 and check avoidance incrementally with the subsequence automata of
 mnl.automaton: one track per injective map of the needle's symbols into the
-board's, each advanced by table lookup, a copy found as soon as one track
-matches the whole needle.
+board's, all of them packed into one int and stepped together, a copy found
+as soon as one track matches the whole needle.  The exact search memoizes
+the longest continuation of a word on what decides it: the track state, the
+last r-1 letters and the largest symbol used.
 
 Text format: lowercase letters a-z (a=1, b=2, ...) for alphabets up to 26,
 comma-separated positive integers otherwise.  Parsing normalizes, so "bab"
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .automaton import sequence_tables
+from .automaton import MAX_MEMO_ENTRIES, MEMO_KEY_BITS, sequence_automaton
 from .errors import InvalidInputError, InvalidTransformationError
 from .records import DEFAULT_NODE_BUDGET, BudgetExhausted, ExRecord, run_search
 
@@ -159,38 +161,77 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
 
     Depth-first extension over normalized sequences; normalization breaks
     the symbol-renaming symmetry, which is sound because both the window
-    constraint and containment are isomorphism-invariant.
+    constraint and containment are isomorphism-invariant.  The window is
+    checked only once r-1 letters are placed, so a shorter word may repeat
+    a letter.
+
+    The longest continuation of a word depends only on its track state, its
+    window code (the last r-1 letters as base-(n+1) digits, or the whole
+    word while it is shorter) and its largest symbol, so it is memoized on
+    one int packing the three.  A memo hit costs no node and raises the best
+    length to the word's length plus its continuation, a word the search has
+    seen.  The memo holds at most MAX_MEMO_ENTRIES (fewer in proportion for
+    a key longer than MEMO_KEY_BITS) in two generations: when the newer half
+    fills, the older half is dropped, and a value dropped is recomputed when
+    next needed, so the result stays exact.
     """
     r = u.alphabet_size
     m = len(u.letters)
 
     def search(budget: int) -> tuple[int, int, bool]:
-        tables = sequence_tables(u.letters, n)
+        tracks, at = sequence_automaton(u.letters, n)
+        done = tracks * m  # a state with a bit from here up holds a copy of u
+        span = (n + 1) ** (r - 1)  # window codes lie below span
+        sym_bits = n.bit_length()
+        state_shift = sym_bits + (span - 1).bit_length()
+        capacity = MAX_MEMO_ENTRIES * MEMO_KEY_BITS // max(MEMO_KEY_BITS, state_shift + done)
+        # two generations of at most capacity // 2 entries each; a full newer
+        # one becomes the older, and an older entry looked up moves back
+        memo: dict[int, int] = {}
+        older: dict[int, int] = {}
         best = nodes = 0
         seq: list[int] = []
 
-        def rec(max_sym: int, states: list[int]) -> None:
-            nonlocal best, nodes
-            rows = [table[s] for table, s in zip(tables, states)]
+        def rec(state: int, code: int, max_sym: int) -> int:
+            nonlocal best, nodes, memo, older
+            length = len(seq)
+            recent = seq[length - (r - 1):] if length >= r - 1 else ()
+            blocked = recent if len(set(recent)) == len(recent) else range(1, n + 1)
+            longest = 0
             for x in range(1, min(max_sym + 1, n) + 1):
                 if nodes >= budget:
                     raise BudgetExhausted(best, nodes)
                 nodes += 1
-                if len(seq) >= r - 1:
-                    window = seq[len(seq) - (r - 1):]
-                    window.append(x)
-                    if len(set(window)) != r:
-                        continue
-                new_states = [row[x] for row in rows]
-                if m in new_states:
+                if x in blocked:
                     continue
-                seq.append(x)
-                if len(seq) > best:
-                    best = len(seq)
-                rec(max(max_sym, x), new_states)
-                seq.pop()
+                moved = state & at[x]
+                nxt = state ^ moved | moved << tracks
+                if nxt >> done:
+                    continue
+                nxt_code = (code * (n + 1) + x) % span
+                nxt_max = max_sym if x <= max_sym else x
+                key = nxt << state_shift | nxt_code << sym_bits | nxt_max
+                value = memo.get(key)
+                if value is None:
+                    value = older.get(key)
+                    if value is None:
+                        seq.append(x)
+                        best = max(best, length + 1)
+                        value = rec(nxt, nxt_code, nxt_max)
+                        seq.pop()
+                    if len(memo) >= capacity // 2:
+                        older, memo = memo, {}
+                    memo[key] = value
+                best = max(best, length + 1 + value)
+                longest = max(longest, value + 1)
+            return longest
 
-        rec(0, [0] * len(tables))
+        try:
+            rec((1 << tracks) - 1, 0, 0)
+        finally:
+            # rec and the memo form a cycle; free the memo now
+            memo.clear()
+            older.clear()
         return best, nodes, True
 
     return run_search("sequence", format_sequence(u), n, node_budget, search)
@@ -219,10 +260,11 @@ def _candidates_of_length(length: int, k: int, segment_cap: int) -> Iterator[tup
     """Lexicographic stream of normalized words of the given length over
     exactly k symbols with runs of length <= 2, at most segment_cap runs,
     and no copy of ababa."""
-    tables = sequence_tables(ABABA, k)
+    tracks, at = sequence_automaton(ABABA, k)
+    done = tracks * len(ABABA)
     seq: list[int] = []
 
-    def rec(used: int, num_runs: int, states: list[int]) -> Iterator[tuple[int, ...]]:
+    def rec(used: int, num_runs: int, state: int) -> Iterator[tuple[int, ...]]:
         if len(seq) == length:
             if used == k:
                 yield tuple(seq)
@@ -230,7 +272,6 @@ def _candidates_of_length(length: int, k: int, segment_cap: int) -> Iterator[tup
         remaining = length - len(seq)
         if k - used > remaining:
             return
-        rows = [table[s] for table, s in zip(tables, states)]
         for x in range(1, min(used + 1, k) + 1):
             if seq and x == seq[-1]:
                 if len(seq) >= 2 and seq[-2] == x:
@@ -240,13 +281,14 @@ def _candidates_of_length(length: int, k: int, segment_cap: int) -> Iterator[tup
                 new_runs = num_runs + 1
                 if new_runs > segment_cap:
                     continue
-            new_states = [row[x] for row in rows]
-            if len(ABABA) not in new_states:
+            moved = state & at[x]
+            nxt = state ^ moved | moved << tracks
+            if not nxt >> done:
                 seq.append(x)
-                yield from rec(max(used, x), new_runs, new_states)
+                yield from rec(max(used, x), new_runs, nxt)
                 seq.pop()
 
-    yield from rec(0, 0, [0] * len(tables))
+    yield from rec(0, 0, (1 << tracks) - 1)
 
 
 def mnl_seq_candidates(k: int, segment_cap: int) -> Iterator[Sequence]:

@@ -13,7 +13,7 @@ from mnl.ordered_graphs import (
     parse_ordered_graph,
     realizing_bipartitions,
 )
-from mnl.patterns import Pattern01, parse_pattern
+from mnl.patterns import Pattern01, canonical_key, parse_pattern
 from mnl.pipeline import (
     _PrefixScreen,
     _col_range,
@@ -411,6 +411,16 @@ class TestOgEnumeration:
         verdicts = Counter(r.verdict for r in enumerate_og_candidates(2, 1, 6))
         assert verdicts == {"structural-candidate": 519, "known-mnl": 73}
         assert sum(1 for _ in enumerate_og_candidates(3, 2, 3)) == 539
+
+    @pytest.mark.parametrize("k, col_min, col_max", [(2, *_col_range(2)), (3, 2, 4)])
+    def test_go_family_same_across_each_orbit(self, k, col_min, col_max):
+        # why the stream expands only an orbit's first candidate
+        patterns = [r.pattern for r in enumerate_candidates(k, col_min, col_max)]
+        families = {}
+        for p in patterns:
+            family = go_family(p)
+            assert families.setdefault(canonical_key(p), family) == family, str(p)
+        assert len(families) < len(patterns)
 
     def test_no_duplicates(self):
         reports = list(enumerate_og_candidates(2, 2, 4))

@@ -16,7 +16,8 @@ from mnl.sequences import parse_sequence, seq_ex_exact
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # case -> (record kind, solve(budget)); the two matrix cases cover the
-# sorted-column search (equal columns) and the general one
+# sorted-column search (equal columns) and the general one, and the second
+# sequence case answers subtrees from its memo
 ENGINES = {
     "matrix": ("matrix", lambda budget: ex_branch_bound(4, parse_pattern("11/11"), budget)),
     "matrix-distinct-columns": (
@@ -24,6 +25,7 @@ ENGINES = {
         lambda budget: ex_branch_bound(4, parse_pattern("1010/0101"), budget),
     ),
     "sequence": ("sequence", lambda budget: seq_ex_exact(parse_sequence("ababa"), 3, budget)),
+    "sequence-memo-hits": ("sequence", lambda budget: seq_ex_exact(parse_sequence("ababa"), 4, budget)),
     "ordered-graph": (
         "ordered-graph",
         lambda budget: og_ex_exact(6, parse_ordered_graph("n=4;1 3;1 4;2 3;2 4"), budget),

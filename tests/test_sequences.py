@@ -1,6 +1,10 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
+
+import mnl.sequences
 
 from mnl.errors import InvalidInputError, InvalidTransformationError
 from mnl.sequences import (
@@ -14,6 +18,7 @@ from mnl.sequences import (
     seq_ex_exact,
 )
 from mnl.pipeline import seq_count_bound
+from mnl.records import DEFAULT_NODE_BUDGET
 
 from oracles import naive_seq_contains, naive_seq_ex
 
@@ -132,8 +137,50 @@ class TestSeqEx:
         assert seq_ex_exact(S("ababa"), 2).value == 4
 
     def test_abab_identity(self):
-        for n in range(2, 6):
+        for n in range(1, 9):
             assert seq_ex_exact(S("abab"), n).value == 2 * n - 1
+
+    def test_ababa_lambda_3(self):
+        for n, want in enumerate((1, 4, 8, 12, 17, 22, 27), start=1):
+            rec = seq_ex_exact(S("ababa"), n)
+            assert rec.exact and rec.value == want, n
+
+    def test_short_word_may_repeat_a_letter(self):
+        # the window is checked only once r-1 letters are placed, so "aa"
+        # counts for r = 3 and the memo key must tell it from "a"
+        for text in ("abc", "abcacbc"):
+            assert [seq_ex_exact(S(text), n).value for n in (1, 2)] == [2, 2]
+
+    def test_memo_limit_keeps_the_search_exact(self, monkeypatch):
+        full = seq_ex_exact(S("ababa"), 5)
+        monkeypatch.setattr(mnl.sequences, "MAX_MEMO_ENTRIES", 16)
+        capped = seq_ex_exact(S("ababa"), 5)
+        assert capped.exact and capped.value == full.value == 17
+        assert capped.nodes_explored > full.nodes_explored
+
+    def test_long_memo_keys_count_as_several_entries(self, monkeypatch):
+        # abab on 40 symbols has 1,560 tracks, so a key of about 6,250 bits;
+        # with 2,048 such entries the search peaks at about 1.5 MB
+        monkeypatch.setattr(mnl.sequences, "MAX_MEMO_ENTRIES", 2048)
+        tracemalloc.start()
+        try:
+            seq_ex_exact(S("abab"), 40, 60_000)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("budget", [DEFAULT_NODE_BUDGET, 50_000])
+    def test_memo_freed_without_the_cycle_collector(self, budget):
+        # the recursive search closure and its memo form a reference cycle
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            seq_ex_exact(S("abcacbc"), 5, budget)
+            assert tracemalloc.get_traced_memory()[0] - before < 1 << 18
+        finally:
+            tracemalloc.stop()
+            gc.enable()
 
     def test_matches_naive_oracle(self):
         for text in ("abab", "ababa", "abc", "aba"):
