@@ -10,15 +10,15 @@ exactly, so the number of needle positions a track has matched is all a
 search has to carry; the board contains the needle iff some track reaches
 the needle length m.
 
-Matrix tracks keep that number as one integer per track, advanced by table
-lookup.  Sequence tracks are stepped together, bit-parallel in the style of
+All tracks of a needle are stepped together, bit-parallel in the style of
 Shift-And (Baeza-Yates and Gonnet, CACM 1992): their state is one int of m
 fields of T bits, T the number of tracks, where field j holds the tracks
 that have matched j positions.  A board letter moves the tracks whose next
 position it matches one field up, so one letter is a few big-int
-operations, and the state is itself a compact memo key.
+operations, and the state is itself a compact memo key.  Each track sits in
+exactly one field, so the fields above field 0 determine it.
 
-Tables are plain lists and ints built per call, so callers stay
+Tables are plain lists of ints built per call, so callers stay
 thread-safe.  Their size grows exponentially; builders refuse one above
 MAX_TABLE_ENTRIES before allocating anything.
 """
@@ -46,39 +46,52 @@ def _check_size(entries: int, what: str) -> None:
         )
 
 
-def _tables(needs: list[list[int]], letters) -> list[list[list[int]]]:
-    """tables[t][s][i]: state of track t after reading letters[i] in state s."""
-    return [
-        [[s + ((need & x) == need) for x in letters] for s, need in enumerate(track)]
-        for track in needs
-    ]
-
-
 def matrix_table_entries(k: int, m: int, n: int) -> int:
-    """Entries of matrix_tables for a k x m needle on n board rows, plus the
-    two 2^n-entry lists (popcounts and column order) a search over them
-    keeps."""
+    """Size of matrix_automaton for a k x m needle on n board rows: T * m
+    bits per board column mask, T = C(n, k), plus the two 2^n-entry lists
+    (popcounts and column order) a search over it keeps."""
     return (comb(n, k) * m + 2) << n
 
 
-def matrix_tables(col_masks: tuple[int, ...], k: int, n: int) -> list[list[list[int]]]:
-    """One track per k-subset of the n board rows, indexed by board column
-    mask."""
-    _check_size(matrix_table_entries(k, len(col_masks), n), f"a board of {n} rows")
-    needs = [
-        [sum(1 << rows[i] for i in range(k) if col >> i & 1) for col in col_masks]
-        for rows in combinations(range(n), k)
-    ]
-    return _tables(needs, range(1 << n))
+def matrix_automaton(col_masks: tuple[int, ...], k: int, n: int) -> tuple[int, list[int]]:
+    """The tracks of a k-row matrix needle on n board rows, one per k-set of
+    board rows, packed bit-parallel like sequence_automaton's.
+
+    Returns (T, at): T = C(n, k) tracks, and per board column mask x an int
+    whose field j (bits j*T .. j*T+T-1) holds the tracks whose rows cover
+    needle column j wherever x does.  One board column x is
+
+        moved = state & at[x]
+        state = state ^ moved | moved << T
+
+    from the start state (1 << T) - 1, and the board contains the needle iff
+    state >> (T * len(col_masks)) != 0.
+    """
+    m = len(col_masks)
+    _check_size(matrix_table_entries(k, m, n), f"a board of {n} rows")
+    tracks = comb(n, k)
+    # at[y] first holds the (track, position) bits whose board mask is y;
+    # a zeta transform over the n rows then ORs in every y inside x
+    at = [0] * (1 << n)
+    for t, rows in enumerate(combinations(range(n), k)):
+        for j, col in enumerate(col_masks):
+            at[sum(1 << rows[i] for i in range(k) if col >> i & 1)] |= 1 << (j * tracks + t)
+    for row in range(n):
+        bit = 1 << row
+        for x in range(1 << n):
+            if x & bit:
+                at[x] |= at[x ^ bit]
+    return tracks, at
 
 
 def completion_table(col_masks: tuple[int, ...], k: int, n: int) -> list[list[int]]:
     """comp[t][s]: the most ones k fixed board rows can take in t more
     columns from state s without completing the needle, or DEAD.  The same
     for every track, and never larger for a later state.  Only for k <= n:
-    matrix_tables' size check covers its 2^k letters only then."""
+    matrix_automaton's size check covers its 2^k letters only then."""
     m = len(col_masks)
-    adv = _tables([list(col_masks)], range(1 << k))[0]
+    # adv[s][b]: the state after letter b over the k rows in state s
+    adv = [[s + (need & b == need) for b in range(1 << k)] for s, need in enumerate(col_masks)]
     comp = [[0] * m]
     for _ in range(n):
         prev = comp[-1]

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Union
 
-from .automaton import matrix_tables, sequence_automaton
+from .automaton import matrix_automaton, sequence_automaton
 from .errors import InvalidInputError
 from .ordered_graphs import (
     Bipartition,
@@ -196,22 +196,28 @@ class _PrefixScreen:
     The screen is a product automaton built as it is used.  A state is one
     int: the last scan letter as a row bit in the low k bits, its run length
     in the next two, then the abab tracks' packed state
-    (automaton.sequence_automaton), then a fixed-width field per
-    known-matrix track.  advance answers a (state, mask) pair it has seen
-    from its memo and steps every track only on a miss.  The scan word is
-    built left to right, so a prefix's word is a prefix of the full word;
-    its letters stay raw row numbers, since renaming changes neither runs
-    nor abab.
+    (automaton.sequence_automaton), then each known matrix's packed tracks
+    (automaton.matrix_automaton).  advance answers a (state, mask) pair it
+    has seen from its memo and steps every track only on a miss.  The scan
+    word is built left to right, so a prefix's word is a prefix of the full
+    word; its letters stay raw row numbers, since renaming changes neither
+    runs nor abab.
     """
 
     def __init__(self, k: int) -> None:
         self.k = k
         self.abab_tracks, self.abab_at = sequence_automaton(ABAB.letters, k)
         self.abab_bits = self.abab_tracks * len(ABAB.letters)
-        self.known = [t for m in known_mnl_2row() for t in matrix_tables(m.col_masks, 2, k)]
-        # a live track state is below its table's length
-        self.width = max(len(t) - 1 for t in self.known).bit_length()
         self.start = ((1 << self.abab_tracks) - 1) << (k + 2)
+        shift = k + 2 + self.abab_bits
+        # each known matrix's tracks over the k pattern rows, packed as in
+        # matrix_automaton, as (T, at, the bit from which a copy is found)
+        self.known = []
+        for m in known_mnl_2row():
+            tracks, at = matrix_automaton(m.col_masks, 2, k)
+            self.known.append((tracks, at, tracks * m.num_cols))
+            self.start |= ((1 << tracks) - 1) << shift
+            shift += tracks * m.num_cols
         self.memo: dict[tuple[int, int], int | None] = {}
 
     def advance(self, state: int, mask: int) -> int | None:
@@ -224,7 +230,7 @@ class _PrefixScreen:
             return nxt
 
     def _step(self, state: int, mask: int) -> int | None:
-        k, width = self.k, self.width
+        k = self.k
         prev = state & ((1 << k) - 1)
         # scan_reduction's letter: the topmost one-row other than the last
         # letter, or the column's only row
@@ -241,14 +247,14 @@ class _PrefixScreen:
             return None
         nxt = letter | run << k | abab << shift
         shift += self.abab_bits
-        field = (1 << width) - 1
-        for table in self.known:
-            s = table[state >> shift & field][mask]
-            # a track has found its needle once its state reaches its table's length
-            if s == len(table):
+        for tracks, at, done in self.known:
+            track = state >> shift & ((1 << done) - 1)
+            moved = track & at[mask]
+            track = track ^ moved | moved << tracks
+            if track >> done:
                 return None
-            nxt |= s << shift
-            shift += width
+            nxt |= track << shift
+            shift += done
         return nxt
 
 

@@ -168,7 +168,8 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     The longest continuation of a word depends only on its track state, its
     window code (the last r-1 letters as base-(n+1) digits, or the whole
     word while it is shorter) and its largest symbol, so it is memoized on
-    one int packing the three.  A memo hit costs no node and raises the best
+    one int packing the three (the state without its field 0, which the
+    other fields determine).  A memo hit costs no node and raises the best
     length to the word's length plus its continuation, a word the search has
     seen.  The memo holds at most MAX_MEMO_ENTRIES (fewer in proportion for
     a key longer than MEMO_KEY_BITS) in two generations: when the newer half
@@ -184,7 +185,8 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
         span = (n + 1) ** (r - 1)  # window codes lie below span
         sym_bits = n.bit_length()
         state_shift = sym_bits + (span - 1).bit_length()
-        capacity = MAX_MEMO_ENTRIES * MEMO_KEY_BITS // max(MEMO_KEY_BITS, state_shift + done)
+        # the key leaves out field 0, which the other fields determine
+        capacity = MAX_MEMO_ENTRIES * MEMO_KEY_BITS // max(MEMO_KEY_BITS, state_shift + done - tracks)
         # two generations of at most capacity // 2 entries each; a full newer
         # one becomes the older, and an older entry looked up moves back
         memo: dict[int, int] = {}
@@ -210,7 +212,7 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
                     continue
                 nxt_code = (code * (n + 1) + x) % span
                 nxt_max = max_sym if x <= max_sym else x
-                key = nxt << state_shift | nxt_code << sym_bits | nxt_max
+                key = nxt >> tracks << state_shift | nxt_code << sym_bits | nxt_max
                 value = memo.get(key)
                 if value is None:
                     value = older.get(key)

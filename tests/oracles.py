@@ -3,12 +3,17 @@
 Everything here is deliberately naive and structurally different from the
 library code: containment enumerates row/column subsets via combinations,
 extremal values enumerate whole objects, the summation oracles evaluate the
-bound formulas term by explicit term.  Keep it that way.
+bound formulas term by explicit term.  Keep it that way.  The one search
+here, tree_ex, is the matrix engine's branch and bound stripped of its memo,
+its sorted columns and its choice of orbit member, on the kernels that
+test_automaton.py checks against naive_contains and naive_completion; it
+reaches boards naive_ex cannot.
 """
 import json
 from itertools import combinations, product
 from math import comb
 
+from mnl.automaton import completion_table, matrix_automaton
 from mnl.ordered_graphs import Bipartition, OrderedGraph
 from mnl.patterns import Pattern01, canonical_key
 from mnl.records import ExRecord
@@ -38,6 +43,44 @@ def naive_ex(n: int, p: Pattern01) -> int:
         )
         if not naive_contains(Pattern01(n, n, ones), p):
             best = count
+    return best
+
+
+def tree_ex(n: int, p: Pattern01) -> int:
+    """ex(n, p) by depth-first search over the board's columns on p's packed
+    tracks, heaviest column first, a branch cut once the completion bound
+    cannot beat the best board found."""
+    k, m = p.num_rows, p.num_cols
+    if k > n:
+        return n * n
+    tracks, at = matrix_automaton(p.col_masks, k, n)
+    comp = completion_table(p.col_masks, k, n)
+    per_row = comb(n - 1, k - 1)
+    full = (1 << tracks) - 1
+    masks = sorted(range(1 << n), key=lambda x: -bin(x).count("1"))
+    best = 0
+
+    def room(t: int, state: int) -> int:
+        fields = [bin(state >> (j * tracks) & full).count("1") for j in range(m)]
+        return sum(c * comp[t][j] for j, c in enumerate(fields)) // per_row
+
+    def rec(ones: int, t: int, state: int) -> None:
+        nonlocal best
+        if t == 0:
+            best = max(best, ones)
+            return
+        if ones + room(t, state) <= best:
+            return
+        after = room(t - 1, state)  # tracks only advance, so no child has more room
+        for x in masks:
+            if ones + bin(x).count("1") + after <= best:
+                break
+            moved = state & at[x]
+            nxt = state ^ moved | moved << tracks
+            if not nxt >> (tracks * m):
+                rec(ones + bin(x).count("1"), t - 1, nxt)
+
+    rec(0, n, full)
     return best
 
 

@@ -9,8 +9,8 @@ from mnl.automaton import (
     DEAD,
     MAX_TABLE_ENTRIES,
     completion_table,
+    matrix_automaton,
     matrix_table_entries,
-    matrix_tables,
     sequence_automaton,
 )
 from mnl.cli import main
@@ -19,7 +19,7 @@ from mnl.extremal import ex_branch_bound, ex_on_member, search_member
 from mnl.patterns import Pattern01, parse_pattern, symmetry_variants
 from mnl.sequences import Sequence, parse_sequence, seq_ex_exact
 
-from oracles import naive_completion, naive_contains, naive_ex, naive_seq_contains, naive_seq_ex
+from oracles import naive_completion, naive_contains, naive_ex, naive_seq_contains, naive_seq_ex, tree_ex
 
 CHECK = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 SEARCH = settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -38,36 +38,30 @@ def words(min_size, max_size):
     return st.lists(st.integers(1, 3), min_size=min_size, max_size=max_size)
 
 
-def run_kernel(tables, letters, m):
-    """Feed a whole board to the tracks; True iff one matches all m positions."""
-    states = [0] * len(tables)
+def run_kernel(tracks, at, letters, m):
+    """Feed a whole board to the packed tracks; True iff one matches all m
+    positions.  A track that matched the whole needle stays in the top field."""
+    state = (1 << tracks) - 1
     for x in letters:
-        states = [table[s][x] for table, s in zip(tables, states)]
-        if m in states:
-            return True
-    return False
+        moved = state & at[x]
+        state = state ^ moved | moved << tracks
+    return state >> (tracks * m) != 0
 
 
 @CHECK
 @given(matrices(3, 4), matrices(4, 5))
 def test_matrix_kernel_matches_naive_contains(needle, board):
-    tables = matrix_tables(needle.col_masks, needle.num_rows, board.num_rows)
-    got = run_kernel(tables, board.col_masks, needle.num_cols)
+    tracks, at = matrix_automaton(needle.col_masks, needle.num_rows, board.num_rows)
+    got = run_kernel(tracks, at, board.col_masks, needle.num_cols)
     assert got == naive_contains(board, needle)
 
 
 @CHECK
 @given(words(1, 5), words(0, 9))
 def test_sequence_kernel_matches_naive_seq_contains(needle, board):
-    # the packed tracks, stepped one board letter at a time; a track that
-    # matched the whole needle stays in the top field
     v = Sequence.normalized(needle).letters
     tracks, at = sequence_automaton(v, 3)
-    state = (1 << tracks) - 1
-    for x in board:
-        moved = state & at[x]
-        state = state ^ moved | moved << tracks
-    assert (state >> (tracks * len(v)) != 0) == naive_seq_contains(board, v)
+    assert run_kernel(tracks, at, board, len(v)) == naive_seq_contains(board, v)
 
 
 @SEARCH
@@ -84,6 +78,26 @@ def test_every_orbit_member_matches_naive_ex(p, n):
     # itself searches one member whichever image it is handed
     want = naive_ex(n, p)
     assert ex_branch_bound(n, p).value == want
+    for image in symmetry_variants(p):
+        rec = ex_on_member(n, image)
+        assert rec.exact and rec.value == want, str(image)
+
+
+@st.composite
+def full_shape_needles(draw):
+    """A 3x3 or 2x4 needle, any of its cells a one, zero lines allowed."""
+    rows, cols = draw(st.sampled_from([(3, 3), (2, 4)]))
+    cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    bits = draw(st.integers(1, (1 << len(cells)) - 1))
+    return Pattern01(rows, cols, frozenset(c for i, c in enumerate(cells) if bits >> i & 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(full_shape_needles(), st.integers(4, 5))
+def test_memo_search_matches_oracles_on_every_image(p, n):
+    # the memoized search on each image as handed, against naive_ex at n=4
+    # and against the memo-free tree search of the oracles at n=5
+    want = naive_ex(n, p) if n == 4 else tree_ex(n, p)
     for image in symmetry_variants(p):
         rec = ex_on_member(n, image)
         assert rec.exact and rec.value == want, str(image)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from mnl.errors import InvalidInputError
@@ -19,7 +22,7 @@ from mnl.patterns import (
     rotate90,
     symmetry_variants,
 )
-from mnl.records import ExRecord
+from mnl.records import DEFAULT_NODE_BUDGET, ExRecord
 
 from oracles import naive_ex
 
@@ -104,6 +107,20 @@ class TestBranchBound:
         assert rec.value <= 9
         assert rec.nodes_explored == 10
 
+    @pytest.mark.parametrize("budget", [DEFAULT_NODE_BUDGET, 20_000])
+    def test_memo_freed_without_the_cycle_collector(self, budget):
+        # the recursive search closure and its memo form a reference cycle
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ex_branch_bound(6, P("101/011"), budget)
+            # the memo alone would keep about 80 KB here
+            assert tracemalloc.get_traced_memory()[0] - before < 1 << 15
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
     def test_record_shape(self):
         rec = ex_branch_bound(3, P("11"))
         assert rec.kind == "matrix"
@@ -180,6 +197,15 @@ class TestAnchors:
     def test_n6_exact_within_default_budget(self, text, value):
         rec = ex_branch_bound(6, P(text))
         assert rec.exact and rec.value == value
+
+    def test_n7_alternating_block(self):
+        rec = ex_branch_bound(7, P("0101/1010"))
+        assert rec.exact and rec.value == 29
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_0010_0101_is_4n_minus_3(self, n):
+        rec = ex_branch_bound(n, P("0010/0101"))
+        assert rec.exact and rec.value == 4 * n - 3
 
 
 class TestSplitColumnSandwich:

@@ -15,14 +15,19 @@ from mnl.sequences import parse_sequence, seq_ex_exact
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# case -> (record kind, solve(budget)); the two matrix cases cover the
-# sorted-column search (equal columns) and the general one, and the second
-# sequence case answers subtrees from its memo
+# case -> (record kind, solve(budget)); the first two matrix cases cover the
+# sorted-column search (equal columns) and the general one, and the third
+# matrix case and the second sequence case answer subtrees from their memos
+# (0010/0101 at n=5 with exact and with bound-only entries)
 ENGINES = {
     "matrix": ("matrix", lambda budget: ex_branch_bound(4, parse_pattern("11/11"), budget)),
     "matrix-distinct-columns": (
         "matrix",
         lambda budget: ex_branch_bound(4, parse_pattern("1010/0101"), budget),
+    ),
+    "matrix-memo-hits": (
+        "matrix",
+        lambda budget: ex_branch_bound(5, parse_pattern("0010/0101"), budget),
     ),
     "sequence": ("sequence", lambda budget: seq_ex_exact(parse_sequence("ababa"), 3, budget)),
     "sequence-memo-hits": ("sequence", lambda budget: seq_ex_exact(parse_sequence("ababa"), 4, budget)),
