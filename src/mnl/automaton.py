@@ -39,6 +39,12 @@ MEMO_KEY_BITS = 1 << 10
 DEAD = -(1 << 62)
 
 
+def memo_capacity(key_bits: int) -> int:
+    """Entries a memoized search keeps at most for keys of key_bits bits:
+    MAX_MEMO_ENTRIES, fewer in proportion for keys above MEMO_KEY_BITS."""
+    return MAX_MEMO_ENTRIES * MEMO_KEY_BITS // max(MEMO_KEY_BITS, key_bits)
+
+
 def _check_size(entries: int, what: str) -> None:
     if entries > MAX_TABLE_ENTRIES:
         raise InvalidInputError(

@@ -60,12 +60,11 @@ from operator import mul
 
 from .automaton import (
     DEAD,
-    MAX_MEMO_ENTRIES,
     MAX_TABLE_ENTRIES,
-    MEMO_KEY_BITS,
     completion_table,
     matrix_automaton,
     matrix_table_entries,
+    memo_capacity,
 )
 from .errors import InvalidInputError
 from .patterns import Pattern01, _embed, canonical_key, format_pattern, symmetry_variants
@@ -164,7 +163,7 @@ def ex_on_member(
         t_bits = n.bit_length()
         # under sorted columns the key carries the last candidate index
         start_bits = n if sorted_cols else 0
-        capacity = MAX_MEMO_ENTRIES * MEMO_KEY_BITS // max(MEMO_KEY_BITS, done - tracks + t_bits + start_bits)
+        capacity = memo_capacity(done - tracks + t_bits + start_bits)
         # two generations of at most capacity // 2 entries each, as in
         # sequences.seq_ex_exact; an entry is value << 1 | exact
         memo: dict[int, int] = {}

@@ -17,8 +17,10 @@ bounded set of needles once, as immutable tuples, so the pipeline's run of
 one graph against every known family member builds the host's adjacency
 once.  The exact search og_ex_exact adds edges in lexicographic order, so
 a new copy of g must map g's last left endpoint L and L's last right
-neighbour onto the new edge: one embed (_og_embed, the same loop with
-pins) pinned there decides each step.
+neighbour B onto the new edge (u, v).  Each step runs _place on the
+needle preparation og_contains uses, with L's mask set to u, B's to v,
+and the masks of their other neighbours cut to board neighbours of u and
+of v.
 It bounds the rest of the board by exact extremal values on the smaller
 boards the last rows induce, solved first in the same call (the bootstrap
 used for exact Zarankiewicz numbers).
@@ -164,45 +166,6 @@ def _place(
             cand = untried[i]
 
 
-def _og_embed(
-    adj: list[int],
-    hay_n: int,
-    g: OrderedGraph,
-    pins: dict[int, int] | None = None,
-) -> bool:
-    """True iff the host on vertices 1..hay_n, where bit y of adj[x] is set
-    iff x and y are adjacent, has a copy of g sending every pinned g-vertex
-    to its pin.
-
-    mask[i] holds the positions g-vertex i may take: i..i+hay_n-k leaves
-    room for the vertices on either side, each pin narrows every range to
-    its own side, and adj[pin] of each pinned neighbour is ANDed in; the
-    edges between unpinned vertices go to _place."""
-    k = g.num_vertices
-    room = hay_n - k
-    if room < 0:
-        return False
-    mask = [((2 << room) - 1) << i for i in range(k + 1)]
-    pins = pins or {}
-    for a, x in pins.items():
-        if not a <= x <= a + room:
-            return False
-        for i in range(1, a):
-            mask[i] &= (2 << (x - a + i)) - 1  # at most x - (a - i)
-        mask[a] &= 1 << x
-        for i in range(a + 1, k + 1):
-            mask[i] &= -1 << (x - a + i)  # at least x + (i - a)
-    below: list[list[int]] = [[] for _ in range(k + 1)]
-    for a, b in g.edges:
-        if a in pins:
-            mask[b] &= adj[pins[a]]
-        elif b in pins:
-            mask[a] &= adj[pins[b]]
-        else:
-            below[b].append(a)
-    return _place(adj, mask, below, k)
-
-
 def _side_degrees(n: int, edges) -> tuple[list[int], list[int]]:
     """Per vertex 1..n, its numbers of left and of right neighbours."""
     left, right = [0] * (n + 1), [0] * (n + 1)
@@ -279,8 +242,20 @@ def _og_search(
     The stack of included slots is explicit, so the depth is not limited
     by Python's recursion limit.  Returns (best, nodes, complete), where
     complete is False when the budget ran out first."""
+    k, _, _, below = _needle(g)
+    # the pins of og_ex_exact's docstring: a new copy maps left to u, right to v
     left = max(a for a, _ in g.edges)
     right = max(b for a, b in g.edges if a == left)
+    span = [((2 << (m - k)) - 1) << i for i in range(k + 1)]  # room on either side
+    # the edges at a pin narrow the masks of the pins' neighbours; _place
+    # checks the rest
+    near_left = sorted(g.neighbors(left) - {right})
+    near_right = sorted(g.neighbors(right) - {left})
+    pinned = (left, right)
+    free_below = [
+        () if b in pinned else tuple(a for a in below[b] if a not in pinned)
+        for b in range(k + 1)
+    ]
     adj = [0] * (m + 1)
     included: list[tuple[int, int]] = []  # their exclude branches are pending
     u, v, count, nodes = 1, 2, 0, 0
@@ -298,7 +273,14 @@ def _og_search(
             nodes += 1
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            if _og_embed(adj, m, g, {left: u, right: v}):
+            mask = span.copy()
+            mask[left] &= 1 << u
+            mask[right] &= 1 << v
+            for i in near_left:
+                mask[i] &= adj[u]
+            for i in near_right:
+                mask[i] &= adj[v]
+            if mask[left] and mask[right] and _place(adj, mask, free_below, k):
                 adj[u] ^= 1 << v
                 adj[v] ^= 1 << u
             else:
@@ -321,7 +303,7 @@ def og_ex_exact(
 
     Edge slots (u, v) are decided in lexicographic order, include first.
 
-    Containment: one pinned embed per node.  When slot (u, v) comes up,
+    Containment: one pinned placement per node.  When slot (u, v) comes up,
     every chosen edge has left end <= u, and those with left end u have
     right end <= v.  Let L be the largest left endpoint of a g-edge and B
     the largest right neighbour of L.  A copy of g that uses the new edge
@@ -329,8 +311,8 @@ def og_ex_exact(
     and u = image(a) <= image(L) since a <= L; so image(L) = u and a = L.
     Likewise v = image(b) <= image(B) <= v.  Any new copy therefore maps L
     to u and B to v, and any copy doing so uses the new edge; the board
-    before it avoided g, so a single embed with pins {L: u, B: v} decides
-    whether including (u, v) completes a copy.
+    before it avoided g, so a single placement with L on u and B on v
+    decides whether including (u, v) completes a copy.
 
     Bound: the vertices u+1..n, and u..n, of any g-free board induce g-free
     boards on n-u and n-u+1 vertices.  So at slot (u, v) the edges still to

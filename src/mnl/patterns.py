@@ -263,14 +263,17 @@ def scan_reduction(p: Pattern01) -> Sequence:
     """
     letters: list[int] = []
     prev = 0
-    for c in range(1, p.num_cols + 1):
-        rows = sorted(r for r, cc in p.ones if cc == c)
-        if not rows:
+    for c, mask in enumerate(p.col_masks, start=1):
+        if not mask:
             raise InvalidInputError(f"column {c} has no ones")
-        if len(rows) == 1 or not letters:
-            letter = rows[0]
-        else:
-            letter = next(r for r in rows if r != prev)
-        letters.append(letter)
-        prev = letter
+        prev = _scan_letter(prev, mask)
+        letters.append(prev.bit_length())
     return Sequence.normalized(letters)
+
+
+def _scan_letter(prev: int, mask: int) -> int:
+    """scan_reduction's letter for a column with row bits mask (bit r-1 for
+    row r) after the letter prev (0 before column 1): the topmost row other
+    than prev, or the column's only row, as its row bit."""
+    rest = mask & ~prev or mask
+    return rest & -rest

@@ -37,6 +37,7 @@ from .ordered_graphs import (
 )
 from .patterns import (
     Pattern01,
+    _scan_letter,
     canonical_key,
     contains,
     parse_pattern,
@@ -232,10 +233,7 @@ class _PrefixScreen:
     def _step(self, state: int, mask: int) -> int | None:
         k = self.k
         prev = state & ((1 << k) - 1)
-        # scan_reduction's letter: the topmost one-row other than the last
-        # letter, or the column's only row
-        rest = mask & ~prev or mask
-        letter = rest & -rest
+        letter = _scan_letter(prev, mask)
         run = (state >> k & 3) + 1 if letter == prev else 1
         if run >= 3:
             return None

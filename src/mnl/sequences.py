@@ -21,9 +21,10 @@ and "aba" denote the same value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import merge
 from typing import Iterable, Iterator
 
-from .automaton import MAX_MEMO_ENTRIES, MEMO_KEY_BITS, sequence_automaton
+from .automaton import memo_capacity, sequence_automaton
 from .errors import InvalidInputError, InvalidTransformationError
 from .records import DEFAULT_NODE_BUDGET, BudgetExhausted, ExRecord, run_search
 
@@ -186,7 +187,7 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
         sym_bits = n.bit_length()
         state_shift = sym_bits + (span - 1).bit_length()
         # the key leaves out field 0, which the other fields determine
-        capacity = MAX_MEMO_ENTRIES * MEMO_KEY_BITS // max(MEMO_KEY_BITS, state_shift + done - tracks)
+        capacity = memo_capacity(state_shift + done - tracks)
         # two generations of at most capacity // 2 entries each; a full newer
         # one becomes the older, and an older entry looked up moves back
         memo: dict[int, int] = {}
@@ -309,12 +310,8 @@ def mnl_seq_candidates(k: int, segment_cap: int) -> Iterator[Sequence]:
     if segment_cap < 1:
         raise InvalidInputError(f"segment_cap must be >= 1, got {segment_cap}")
     for length in range(1, 2 * segment_cap + 1):
-        inject = k == 2 and length == 5 and 5 <= 2 * segment_cap
-        done_inject = False
-        for word in _candidates_of_length(length, k, segment_cap):
-            if inject and not done_inject and word > ABABA:
-                yield Sequence(ABABA)
-                done_inject = True
+        words = _candidates_of_length(length, k, segment_cap)
+        if k == 2 and length == len(ABABA):
+            words = merge(words, [ABABA])  # words avoid ababa, so no ties
+        for word in words:
             yield Sequence(word)
-        if inject and not done_inject:
-            yield Sequence(ABABA)

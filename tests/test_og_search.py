@@ -1,18 +1,15 @@
-"""The ordered-graph bitmask kernel, containment and exact search against
-the naive oracles, and searches deeper than Python's recursion limit."""
+"""Ordered-graph containment and exact search against the naive oracles,
+and searches deeper than Python's recursion limit."""
 import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from itertools import combinations
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mnl.cli import main
 from mnl.ordered_graphs import (
     OrderedGraph,
-    _adjacency,
-    _og_embed,
     og_contains,
     og_ex_exact,
     og_insert_isolated,
@@ -61,37 +58,6 @@ def contains_queries(draw):
     return a, b, draw(st.one_of(graphs(6), needles(6), edgeless, st.just(a)))
 
 
-def naive_pinned_contains(h, g, pins):
-    """A copy of g placed on each vertex set that honours the pins, checked
-    by naive_og_contains on the subgraph that set induces."""
-    for sel in combinations(range(1, h.num_vertices + 1), g.num_vertices):
-        if any(sel[a - 1] != x for a, x in pins.items()):
-            continue
-        index = {x: i for i, x in enumerate(sel, start=1)}
-        induced = frozenset(
-            (index[u], index[v]) for u, v in h.edges if u in index and v in index
-        )
-        if naive_og_contains(OrderedGraph(g.num_vertices, induced), g):
-            return True
-    return False
-
-
-@CHECK
-@given(graphs(7), graphs(5))
-def test_unpinned_embed_matches_naive(h, g):
-    adj = _adjacency(h.num_vertices, h.edges)
-    assert _og_embed(adj, h.num_vertices, g) == naive_og_contains(h, g)
-
-
-@CHECK
-@given(graphs(7), graphs(5), st.data())
-def test_pinned_embed_matches_naive(h, g, data):
-    pinned = data.draw(st.sets(st.integers(1, g.num_vertices), max_size=3))
-    pins = {a: data.draw(st.integers(1, h.num_vertices)) for a in sorted(pinned)}
-    adj = _adjacency(h.num_vertices, h.edges)
-    assert _og_embed(adj, h.num_vertices, g, pins) == naive_pinned_contains(h, g, pins)
-
-
 @CHECK
 @given(contains_queries())
 @example((G("n=5;1 2;3 4"), G("n=4;1 2;2 3;3 4"), G("n=6;1 2")))  # more vertices
@@ -125,6 +91,12 @@ def test_og_contains_is_thread_safe():
 
 @SEARCH
 @given(needles(6), st.integers(1, 5))
+# early vertices meeting B, g's last right neighbour of its last left
+# endpoint: the search narrows their masks by the board vertex B lands on;
+# without that narrowing the last example comes out one edge short
+@example(G("n=4;1 4;2 4;3 4"), 5)
+@example(G("n=5;1 4;2 4;3 5;4 5"), 5)
+@example(G("n=4;1 3;1 4;2 4"), 5)
 def test_og_ex_exact_matches_naive(g, n):
     rec = og_ex_exact(n, g)
     assert rec.exact and rec.value == naive_og_ex(n, g)

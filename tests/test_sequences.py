@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-import mnl.sequences
+import mnl.automaton
 
 from mnl.errors import InvalidInputError, InvalidTransformationError
 from mnl.sequences import (
@@ -153,7 +153,7 @@ class TestSeqEx:
 
     def test_memo_limit_keeps_the_search_exact(self, monkeypatch):
         full = seq_ex_exact(S("ababa"), 5)
-        monkeypatch.setattr(mnl.sequences, "MAX_MEMO_ENTRIES", 16)
+        monkeypatch.setattr(mnl.automaton, "MAX_MEMO_ENTRIES", 16)
         capped = seq_ex_exact(S("ababa"), 5)
         assert capped.exact and capped.value == full.value == 17
         assert capped.nodes_explored > full.nodes_explored
@@ -161,7 +161,7 @@ class TestSeqEx:
     def test_long_memo_keys_count_as_several_entries(self, monkeypatch):
         # abab on 40 symbols has 1,560 tracks, so a key of about 6,250 bits;
         # with 2,048 such entries the search peaks at about 1.5 MB
-        monkeypatch.setattr(mnl.sequences, "MAX_MEMO_ENTRIES", 2048)
+        monkeypatch.setattr(mnl.automaton, "MAX_MEMO_ENTRIES", 2048)
         tracemalloc.start()
         try:
             seq_ex_exact(S("abab"), 40, 60_000)
