@@ -25,6 +25,15 @@ It bounds the rest of the board by exact extremal values on the smaller
 boards the last rows induce, solved first in the same call (the bootstrap
 used for exact Zarankiewicz numbers).
 
+A g whose edges all run from 1..a to a+1..k, with vertices a and a+1 on
+edges, is searched vertex by vertex instead, as a matrix problem (Pach and
+Tardos, "Forbidden paths and cycles in ordered graphs and matrices",
+2006): a copy of g is a copy of g's a x (k-a) biadjacency matrix in the
+board's upper-triangular adjacency matrix whose columns all come after its
+rows.  The search runs on automaton.matrix_automaton's packed tracks, one
+per a-set of board rows, each switched on by a gate after its last row,
+with a fail-low memo as in extremal.ex_on_member.
+
 Text format: first line "n=<int>", then one "<u> <v>" pair per line with
 u < v, blank lines ignored.  A ';' may replace the newline as a single-line
 variant (used for cache keys and tsv cells).
@@ -36,11 +45,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import mul
 
+from .automaton import (
+    DEAD,
+    MAX_TABLE_ENTRIES,
+    completion_table,
+    matrix_automaton,
+    matrix_table_entries,
+    memo_capacity,
+)
 from .errors import InvalidInputError, InvalidTransformationError
 # canonical_key is not called here; perfbench's traced run rebinds it on this module.
 from .patterns import Pattern01, canonical_key, symmetry_variants  # noqa: F401
-from .records import DEFAULT_NODE_BUDGET, ExRecord, run_search
+from .records import DEFAULT_NODE_BUDGET, BudgetExhausted, ExRecord, run_search
 
 
 @dataclass(frozen=True)
@@ -296,6 +314,133 @@ def _og_search(
         u, v = (u, v + 1) if v < m else (u + 1, u + 2)
 
 
+def _two_interval_split(g: OrderedGraph, n: int) -> int:
+    """a when og_ex_exact solves g on n vertices vertex by vertex, else 0:
+    every edge runs from 1..a to a+1..k (interval chromatic number 2),
+    vertices a and a+1 both lie on an edge, and the tables of the n-1
+    board rows fit MAX_TABLE_ENTRIES.  The first two hold together iff
+    g's last left endpoint is a and its first right endpoint a+1."""
+    a = max(u for u, _ in g.edges)
+    if a + 1 != min(v for _, v in g.edges):
+        return 0
+    if matrix_table_entries(a, g.num_vertices - a, n - 1) > MAX_TABLE_ENTRIES:
+        return 0
+    return a
+
+
+def _og_vertex_search(
+    m: int, g: OrderedGraph, a: int, ceiling: list[int], best: int, node_budget: int
+) -> tuple[int, int, bool]:
+    """og_ex_exact's search for a g split after vertex a, as its docstring
+    gives: vertex v = 2..m takes its set of left neighbours, board column
+    v over rows 1..m-1, most neighbours first, looking for a board with
+    more than best edges.  Same arguments and result as _og_search."""
+    k = g.num_vertices
+    rows = m - 1  # vertex m is nobody's left neighbour
+    col_masks = tuple(
+        sum(1 << (u - 1) for u in g.neighbors(w)) for w in range(a + 1, k + 1)
+    )
+    tracks, at = matrix_automaton(col_masks, a, rows)
+    comp = completion_table(col_masks, a, rows)
+    full = (1 << tracks) - 1
+    done = tracks * len(col_masks)  # a state with a bit from here up holds a copy of g
+    shifts = range(tracks, done, tracks)  # fields 1.. ; field 0 follows from them
+    # gate[v]: in every field, the tracks whose rows all lie before vertex v
+    gate = [0] * (m + 2)
+    for t, chosen in enumerate(combinations(range(rows), a)):
+        gate[chosen[-1] + 2] |= 1 << t
+    for v in range(3, m + 2):
+        gate[v] |= gate[v - 1]
+    fields = sum(1 << shift for shift in range(0, done, tracks))
+    # per vertex v, columns v..m to come: the bound's terms (docstring) as
+    # ceiling + (base + counts of fields 1.. times weights) // per_row
+    terms = [None] * (m + 2)
+    for v in range(2, m + 2):
+        t = m - v + 1
+        per_row = comb(v - 2, a - 1)  # tracks with rows before v through one such row
+        if per_row:
+            base = comb(v - 1, a) * comp[t][0]
+            weights = [comp[t][j] - comp[t][0] for j in range(1, len(col_masks))]
+        else:  # fewer than a rows so far: each takes at most t more edges
+            per_row, base, weights = 1, (v - 1) * t, [0] * (len(col_masks) - 1)
+        terms[v] = ceiling[t], base, weights, per_row
+    candidates = [None] * (m + 1)
+    for v in range(2, m + 1):
+        order = sorted(range(1 << (v - 1)), key=lambda x: (-x.bit_count(), x))
+        opened = gate[v] * fields
+        candidates[v] = [(x.bit_count(), at[x] & opened) for x in order]
+    v_bits = m.bit_length()
+    capacity = memo_capacity(done - tracks + v_bits)
+    # two generations of at most capacity // 2 entries each, as in
+    # extremal.ex_on_member; an entry is value << 1 | exact
+    memo: dict[int, int] = {}
+    older: dict[int, int] = {}
+    nodes = 0
+
+    def room(v: int, counts: list[int]) -> int:
+        """The bound on what columns v..m add, from the field counts."""
+        new, base, weights, per_row = terms[v]
+        return new + (base + sum(map(mul, counts, weights))) // per_row
+
+    def rec(ones: int, v: int, state: int) -> int:
+        """The most edges columns v..m can add to state: exact when above
+        alpha = best - ones at the call, otherwise an upper bound no larger
+        than alpha."""
+        nonlocal best, nodes, memo, older
+        counts = [(state >> shift & full).bit_count() for shift in shifts]
+        bound = room(v, counts)
+        if ones + bound <= best:
+            return bound
+        # the children's states only grow, so room at v + 1 from this state
+        # bounds what each child's columns add
+        room_after = room(v + 1, counts)
+        longest = DEAD
+        for pc, step in candidates[v]:
+            if nodes >= node_budget:
+                raise BudgetExhausted(best, nodes)
+            nodes += 1
+            cut = best - ones - pc  # a child beats best iff it adds more than this
+            if room_after <= cut:  # by popcount, nothing later can win
+                return max(longest, pc + room_after)
+            moved = state & step
+            nxt = state ^ moved | moved << tracks
+            if nxt >> done:
+                continue
+            if v == m:
+                value = 0
+                if cut < 0:
+                    best = ones + pc
+            else:
+                key = (nxt >> tracks) << v_bits | v
+                code = memo.get(key)
+                if code is None:
+                    code = older.get(key)
+                # a bound-only entry answers only a call it cannot beat
+                if code is None or not code & 1 and code >> 1 > cut:
+                    value = rec(ones + pc, v + 1, nxt)
+                    code = value << 1 | (value > cut)
+                else:
+                    value = code >> 1
+                if len(memo) >= capacity // 2:
+                    older, memo = memo, {}
+                memo[key] = code
+                if value > cut:  # only an exact value comes back above cut
+                    best = ones + pc + value
+            if pc + value > longest:
+                longest = pc + value
+        return longest
+
+    try:
+        rec(0, 2, full)
+    except BudgetExhausted:
+        return best, nodes, False
+    finally:
+        # rec and the memo form a cycle; free the memo now
+        memo.clear()
+        older.clear()
+    return best, nodes, True
+
+
 def og_ex_exact(
     n: int, g: OrderedGraph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ExRecord:
@@ -330,18 +475,63 @@ def og_ex_exact(
     could land on it.  Then each search starts from the best board on one
     vertex fewer, and a budget overrun before the last search still
     reports a board that exists on n vertices.
+
+    Two intervals: when every g-edge runs from 1..a to a+1..k and vertices
+    a and a+1 both lie on edges (interval_chromatic(g) == 2, split where
+    g's last left endpoint and first right endpoint meet), and the tables
+    of the n-1 board rows fit MAX_TABLE_ENTRIES, every search of the call,
+    on each m <= n, goes vertex by vertex instead; otherwise they all take
+    the edge slots above.  Let M be g's a x b biadjacency matrix, b = k-a,
+    row i for vertex i and column j for vertex a+j.  A copy of g sends
+    1..a to rows S = {r_1 < ... < r_a} and a+1..k to vertices c_1 < ... <
+    c_b, all after r_a, with each one of M on an edge; conversely any such
+    rows and columns are an increasing image of g.  So the board contains
+    g iff its adjacency matrix, column v the set of left neighbours of v,
+    holds M on some a-set S of rows 1..m-1 in columns after max(S).
+
+    Vertex v = 2..m takes its column, one of the 2^(v-1) sets of left
+    neighbours, most neighbours first; each set tried is one node.  Each S
+    is one track of matrix_automaton(M's columns, a, m-1): it greedily
+    matches M's columns against the board's on the rows S, and the board
+    holds g iff some track matches all b.  The gate: column v steps only
+    the tracks with max(S) < v, by ANDing at[x] with the tracks whose
+    rows all lie before v, in every field; the others wait in field 0.
+
+    Bound at vertex v, t = m-v+1 columns to come: an edge still to come
+    has its right end in v..m.  Those with both ends there lie in the
+    board induced on v..m, at most ex_<(t, g), a value for a smaller board
+    solved first in the same call (an inexact one ends the call, as
+    above).  The others run from the v-1 old vertices to the new ones.  An
+    a-set S of old rows is a track switched on before column v, in state
+    s_S, so rows S take at most comp[t][s_S] more ones (the
+    completion_table) without completing M.  Each old row lies in
+    C(v-2, a-1) such sets, so the sum of comp[t][s_S] over them divided
+    by C(v-2, a-1) bounds the old-to-new edges; while v-1 < a, each old
+    vertex takes at most t.  A child's tracks never move down and its new
+    tracks start in state 0, so the bound at v+1 from the parent's state
+    bounds what every child adds, and the children come in falling
+    popcount, so the first that cannot beat the best board ends the loop.
+
+    Memo: the most edges columns v..m add depends only on v and the track
+    state (without field 0), and is memoized on the two by the fail-low
+    rule, capacity and generations of extremal.ex_on_member; a memo hit
+    costs no node and the best board is raised only from exact values.
     """
     if not g.edges:
         raise InvalidInputError("forbidden graph needs at least one edge")
     k = g.num_vertices
     grows = max(b for _, b in g.edges) == k  # g's last vertex has an edge
+    a = _two_interval_split(g, n)
 
     def search(budget: int) -> tuple[int, int, bool]:
         ceiling = [comb(m, 2) for m in range(n + 1)]  # upper bounds on ex_<(m, g)
         value, nodes, exact = ceiling[n], 0, True  # stands when g outgrows the board
         for m in range(k, n + 1):
             seed = value if grows and m > k else 0
-            value, used, exact = _og_search(m, g, ceiling, seed, budget - nodes)
+            if a:
+                value, used, exact = _og_vertex_search(m, g, a, ceiling, seed, budget - nodes)
+            else:
+                value, used, exact = _og_search(m, g, ceiling, seed, budget - nodes)
             nodes += used
             if not exact:
                 if m < n and not grows:

@@ -75,8 +75,12 @@ class Pattern01:
             for r in range(1, self.num_rows + 1)
         ]
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         return "/".join(self.row_strings())
+
+    def __str__(self) -> str:
+        return self._text
 
 
 def parse_pattern(text: str) -> Pattern01:

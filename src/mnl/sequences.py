@@ -172,10 +172,13 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     one int packing the three (the state without its field 0, which the
     other fields determine).  A memo hit costs no node and raises the best
     length to the word's length plus its continuation, a word the search has
-    seen.  The memo holds at most MAX_MEMO_ENTRIES (fewer in proportion for
-    a key longer than MEMO_KEY_BITS) in two generations: when the newer half
-    fills, the older half is dropped, and a value dropped is recomputed when
-    next needed, so the result stays exact.
+    seen.  A continuation whose search took at most n nodes is not kept:
+    redoing it costs at most n nodes, and few are asked for again (on
+    abcacbc at n=5, 139 of 11,243 were).  The memo holds at most
+    MAX_MEMO_ENTRIES (fewer in proportion for a key longer than
+    MEMO_KEY_BITS) in two generations: when the newer half fills, the older
+    half is dropped, and a value dropped is recomputed when next needed, so
+    the result stays exact.
     """
     r = u.alphabet_size
     m = len(u.letters)
@@ -217,14 +220,18 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
                 value = memo.get(key)
                 if value is None:
                     value = older.get(key)
+                    keep = True
                     if value is None:
                         seq.append(x)
                         best = max(best, length + 1)
+                        before = nodes
                         value = rec(nxt, nxt_code, nxt_max)
                         seq.pop()
-                    if len(memo) >= capacity // 2:
-                        older, memo = memo, {}
-                    memo[key] = value
+                        keep = nodes - before > n  # cheap subtrees are redone
+                    if keep:
+                        if len(memo) >= capacity // 2:
+                            older, memo = memo, {}
+                        memo[key] = value
                 best = max(best, length + 1 + value)
                 longest = max(longest, value + 1)
             return longest

@@ -1,20 +1,26 @@
 """Ordered-graph containment and exact search against the naive oracles,
-and searches deeper than Python's recursion limit."""
+the vertex-by-vertex search of two-interval graphs against the edge-slot
+search, and searches deeper than Python's recursion limit."""
 import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
+from math import comb
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mnl.cli import main
 from mnl.ordered_graphs import (
     OrderedGraph,
+    _og_search,
+    _two_interval_split,
     og_contains,
     og_ex_exact,
     og_insert_isolated,
     parse_ordered_graph,
 )
+from mnl.records import DEFAULT_NODE_BUDGET
 
 from oracles import naive_og_contains, naive_og_ex
 
@@ -124,6 +130,63 @@ def test_sub_search_overrun_is_never_exact(g, n, data):
     rec = og_ex_exact(n, g, node_budget=budget)
     assert not rec.exact and rec.nodes_explored <= budget
     assert rec.value <= og_ex_exact(n, g).value
+
+
+@st.composite
+def two_interval_graphs(draw):
+    """Graphs whose edges all run from 1..a to a+1..a+b, with isolated
+    vertices anywhere, so some are routed to the vertex search and some,
+    with vertex a or a+1 isolated, fall back to the edge slots."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    slots = [(u, v) for u in range(1, a + 1) for v in range(a + 1, a + b + 1)]
+    g = OrderedGraph(a + b, frozenset(draw(st.sets(st.sampled_from(slots), min_size=1))))
+    for _ in range(draw(st.integers(0, 2))):
+        g = og_insert_isolated(g, draw(st.integers(0, g.num_vertices)))
+    return g
+
+
+def edge_slot_ex(n, g):
+    """ex_<(n, g) by og_ex_exact's bootstrap run on _og_search alone."""
+    ceiling = [comb(m, 2) for m in range(n + 1)]
+    for m in range(g.num_vertices, n + 1):
+        ceiling[m], _, exact = _og_search(m, g, ceiling, 0, DEFAULT_NODE_BUDGET)
+        assert exact
+    return ceiling[n]
+
+
+def test_vertex_search_matches_edge_slot_search():
+    routed = 0
+    for k in range(2, 6):
+        slots = list(combinations(range(1, k + 1), 2))
+        for mask in range(1, 1 << len(slots)):
+            g = OrderedGraph(k, frozenset(s for i, s in enumerate(slots) if mask >> i & 1))
+            if not _two_interval_split(g, 6):
+                continue
+            routed += 1
+            for n in range(1, 7):
+                rec = og_ex_exact(n, g)
+                assert rec.exact and rec.value == edge_slot_ex(n, g), (str(g), n)
+    assert routed == 127
+
+
+@SEARCH
+@given(two_interval_graphs(), st.integers(1, 5))
+@example(G("n=5;2 4;3 5"), 5)  # isolated first vertex: a zero row of the matrix
+@example(G("n=5;1 3;2 4"), 5)  # isolated last vertex: a zero column
+@example(G("n=4;1 4;2 4"), 5)  # vertex 3 lies on no edge: the edge-slot search
+def test_two_interval_search_matches_naive(g, n):
+    rec = og_ex_exact(n, g)
+    assert rec.exact and rec.value == naive_og_ex(n, g)
+
+
+def test_two_interval_route():
+    assert _two_interval_split(G("n=5;2 4;3 5"), 5) == 3
+    assert _two_interval_split(G("n=5;1 3;2 4"), 5) == 2
+    assert _two_interval_split(G("n=4;1 4;2 4"), 5) == 0  # vertex 3 is isolated
+    assert _two_interval_split(G("n=3;1 2;2 3"), 5) == 0  # three intervals
+    # the tables of a 2+2-vertex graph fit on 15 vertices, not on 16
+    assert _two_interval_split(G("n=4;1 3;2 4"), 15) == 2
+    assert _two_interval_split(G("n=4;1 3;2 4"), 16) == 0
 
 
 def test_full_budget_is_exact():

@@ -11,6 +11,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 STATED = {
     "ex --pattern 11 --n 5": ("value", 5),
     "seq-ex --sequence abab --n 4": ("value", 7),
+    "og-ex --graph n=3;1 3;2 3 --n 5": ("value", 4),
     "reduce scan --pattern 101/011": ("sequence", "aba"),
     "bounds matrix --k 2": ("bound", 579),
     "bounds seq --k 2": ("bound", 60),

@@ -18,7 +18,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # case -> (record kind, solve(budget)); the first two matrix cases cover the
 # sorted-column search (equal columns) and the general one, and the third
 # matrix case and the second sequence case answer subtrees from their memos
-# (0010/0101 at n=5 with exact and with bound-only entries)
+# (0010/0101 at n=5 with exact and with bound-only entries); the first two
+# ordered-graph cases run the vertex search of two-interval graphs, the
+# second answering subtrees from its memo, and the third the edge slots
 ENGINES = {
     "matrix": ("matrix", lambda budget: ex_branch_bound(4, parse_pattern("11/11"), budget)),
     "matrix-distinct-columns": (
@@ -34,6 +36,14 @@ ENGINES = {
     "ordered-graph": (
         "ordered-graph",
         lambda budget: og_ex_exact(6, parse_ordered_graph("n=4;1 3;1 4;2 3;2 4"), budget),
+    ),
+    "ordered-graph-memo-hits": (
+        "ordered-graph",
+        lambda budget: og_ex_exact(6, parse_ordered_graph("n=4;1 3;2 4"), budget),
+    ),
+    "ordered-graph-edge-slots": (
+        "ordered-graph",
+        lambda budget: og_ex_exact(6, parse_ordered_graph("n=3;1 2;2 3"), budget),
     ),
 }
 
