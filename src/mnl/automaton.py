@@ -21,13 +21,18 @@ exactly one field, so the fields above field 0 determine it.
 Tables are plain lists of ints built per call, so callers stay
 thread-safe.  Their size grows exponentially; builders refuse one above
 MAX_TABLE_ENTRIES before allocating anything.
+
+track_search is the memoized search over such tracks that the matrix
+engine and the ordered-graph vertex search share, each with its own tables.
 """
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb, perm
+from operator import mul
 
 from .errors import InvalidInputError
+from .records import BudgetExhausted
 
 MAX_TABLE_ENTRIES = 1 << 22
 # entries a memoized search keeps at most, a key longer than MEMO_KEY_BITS
@@ -45,6 +50,125 @@ def memo_capacity(key_bits: int) -> int:
     return MAX_MEMO_ENTRIES * MEMO_KEY_BITS // max(MEMO_KEY_BITS, key_bits)
 
 
+def track_search(
+    tracks: int, done: int, candidates: list, terms: list, best: int, budget: int,
+    sorted_cols: bool = False,
+) -> tuple[int, int]:
+    """Depth-first search for a board with more than best ones, one column
+    at a time, on T = tracks packed tracks from the start state
+    (1 << T) - 1, with depth = len(candidates) - 1 columns to come.
+    Returns (best, nodes), or raises BudgetExhausted(best, nodes) when the
+    budget runs out; best always counts a board that exists.
+
+    With t columns to come, candidates[t] lists the next column's choices
+    as (popcount, step, after) by falling popcount.  One steps a state by
+    moved = state & step; state ^ moved | moved << T, and a state with a
+    bit from done up holds a copy of the needle.  The column after it is
+    drawn from candidates[t - 1] on from index after: 0, or its own index
+    under sorted_cols, where every list is the same and no column to come
+    may have more ones than the one placed.  terms[t] = (new, base,
+    weights, per_row) bounds what t more columns add to a state whose
+    fields 1.. hold c_1, c_2, ... tracks by new + (base + sum of c_j *
+    weights[j - 1]) // per_row; it must be admissible, t = 0 included, and
+    never grow as tracks move up.  Each column tried is one node; the
+    first that cannot beat best by that bound at t - 1 ends its loop, and
+    under sorted_cols so does the first whose popcount times the t columns
+    left cannot.
+
+    Memo: what t more columns add depends only on t, the state without
+    field 0 (the others determine it) and the index the next column is
+    drawn from, memoized on one int packing the three; the width of t
+    follows the depth, never the board.  A search asked to beat alpha =
+    best - ones returns an exact value when above alpha (fail-low), else
+    an upper bound no larger than alpha, and the memo keeps which.  A
+    bound-only entry answers a later visit only when it cannot beat that
+    visit's alpha either, and best is raised only from exact values.  A
+    memo hit costs no node.  The memo holds at most memo_capacity(key
+    bits) entries in two generations: when the newer fills, the older is
+    dropped, and a dropped value is recomputed when next asked for.
+    """
+    depth = len(candidates) - 1
+    full = (1 << tracks) - 1
+    shifts = range(tracks, done, tracks)  # fields 1.. ; field 0 follows from them
+    # the key's low bits: t, then under sorted_cols the index drawn from
+    start_bits = (max(map(len, candidates)) - 1).bit_length() if sorted_cols else 0
+    low_bits = depth.bit_length() + start_bits
+    capacity = memo_capacity(done - tracks + low_bits)
+    # an entry is value << 1 | exact
+    memo: dict[int, int] = {}
+    older: dict[int, int] = {}
+    nodes = 0
+
+    def rec(ones: int, t: int, state: int, start: int) -> int:
+        """The most ones t more columns can add to state, columns drawn
+        from candidate start on: exact when above alpha = best - ones at
+        the call, otherwise an upper bound no larger than alpha."""
+        nonlocal best, nodes, memo, older
+        counts = [(state >> shift & full).bit_count() for shift in shifts]
+        new, base, weights, per_row = terms[t]
+        bound = new + (base + sum(map(mul, counts, weights))) // per_row
+        if ones + bound <= best:
+            return bound
+        # the children's states only grow, so this bounds what each adds
+        new, base, weights, per_row = terms[t - 1]
+        room_after = new + (base + sum(map(mul, counts, weights))) // per_row
+        tag = t << start_bits
+        cands = candidates[t]
+        longest = DEAD
+        # islice only when it skips: its per-item cost shows in a search
+        # without sorted_cols, as does an index counted in this loop
+        for pc, step, after in islice(cands, start, None) if start else cands:
+            if nodes >= budget:
+                raise BudgetExhausted(best, nodes)
+            nodes += 1
+            cut = best - ones - pc  # a child beats best iff it adds more than this
+            if room_after <= cut:  # by popcount, nothing later can win
+                return max(longest, pc + room_after)
+            if sorted_cols and pc * (t - 1) <= cut:
+                return max(longest, pc * t)
+            moved = state & step
+            nxt = state ^ moved | moved << tracks
+            if nxt >> done:
+                continue
+            if t == 1:
+                value = 0
+                if cut < 0:
+                    best = ones + pc
+            else:
+                key = (nxt >> tracks) << low_bits | (tag | after)
+                code = memo.get(key)
+                if code is None:
+                    code = older.get(key)
+                # a bound-only entry answers only a call it cannot beat
+                if code is None or not code & 1 and code >> 1 > cut:
+                    value = rec(ones + pc, t - 1, nxt, after)
+                    code = value << 1 | (value > cut)
+                else:
+                    value = code >> 1
+                if len(memo) >= capacity // 2:
+                    older, memo = memo, {}
+                memo[key] = code
+                if value > cut:  # only an exact value comes back above cut
+                    best = ones + pc + value
+            if pc + value > longest:
+                longest = pc + value
+        return longest
+
+    try:
+        rec(0, depth, full, 0)
+    finally:
+        # rec and the memo form a cycle; free the memo now
+        memo.clear()
+        older.clear()
+    return best, nodes
+
+
+def column_order(n: int) -> list[int]:
+    """The column masks of n board rows in the order the track searches
+    try them: most ones first, then by mask."""
+    return sorted(range(1 << n), key=lambda mask: (-mask.bit_count(), mask))
+
+
 def _check_size(entries: int, what: str) -> None:
     if entries > MAX_TABLE_ENTRIES:
         raise InvalidInputError(
@@ -54,8 +178,8 @@ def _check_size(entries: int, what: str) -> None:
 
 def matrix_table_entries(k: int, m: int, n: int) -> int:
     """Size of matrix_automaton for a k x m needle on n board rows: T * m
-    bits per board column mask, T = C(n, k), plus the two 2^n-entry lists
-    (popcounts and column order) a search over it keeps."""
+    bits per board column mask, T = C(n, k), plus two entries per mask for
+    the candidate list a track_search over it keeps."""
     return (comb(n, k) * m + 2) << n
 
 

@@ -20,34 +20,19 @@ neither kind of member.  q is the first whose tables fit MAX_TABLE_ENTRIES
 on the board, and only when none fits is the board refused.  ex_on_member
 runs the same search on the image it is handed.
 
-The search runs on the subsequence automata of mnl.automaton: one track
-per set of k board rows (k = q's row count), each matching q's columns
-greedily against the board's columns on those rows, all packed into one int
-(automaton.matrix_automaton).  Appending a column steps every track at
-once, and a branch dies as soon as a track matches all of q.  A per-state
-completion table gives the most ones a track's rows can still take without
-completing q; each board row lies in C(n-1, k-1) tracks, so the sum over
-tracks divided by that is an admissible bound on the remaining ones, and a
-branch that cannot beat the best board found is cut.  When q's columns are
-all equal, containment does not depend on the board's column order, so the
-board's columns are taken in sorted order: each column's candidate index is
-at or after the previous column's, and no column to come has more ones than
-the one being placed, which cuts a branch once ones + popcount * remaining
-columns cannot beat the best.  Exactness is never at stake, only speed.
-
-The most ones the remaining columns can add depends only on the track
-state, the number of columns left and, under sorted columns, the last
-column's candidate index, so it is memoized on one int packing the three
-(the state without its field 0, which the other fields determine).  A
-search from a state is asked to beat alpha = best - ones: what it returns
-is exact when above alpha, and otherwise only an upper bound no larger
-than alpha, since the cuts above stop it early.  The memo keeps that
-value with its exactness; a bound-only entry answers a later visit only
-when it cannot beat that visit's alpha either, and the best board is raised
-only from exact values, so it always names a board that exists.  A memo
-hit costs no node.  The memo holds at most MAX_MEMO_ENTRIES (fewer for a
-key longer than MEMO_KEY_BITS) in two generations, as in
-sequences.seq_ex_exact.
+ex_on_member builds the tables of automaton.track_search, the memoized
+search it shares with the ordered-graph vertex search, whose docstring
+gives the memo.  There is one track per set of k board rows (k = q's row
+count), each matching q's columns greedily against the board's columns on
+those rows, all packed into one int (automaton.matrix_automaton), and a
+branch dies once a track matches all of q.  Every board column mask is a
+candidate.  A per-state completion table gives the most ones a track's
+rows can still take without completing q; each board row lies in
+C(n-1, k-1) tracks, so the sum over tracks divided by that bounds the
+remaining ones.  When q's columns are all equal, containment does not
+depend on the board's column order, so the board's columns are taken in
+sorted order (track_search's sorted_cols).  Exactness is never at stake,
+only speed.
 
 The search is deterministic and single threaded; records say exact=False
 instead of failing when the node budget runs out.
@@ -56,21 +41,19 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
-from operator import mul
 
 from .automaton import (
-    DEAD,
     MAX_TABLE_ENTRIES,
+    column_order,
     completion_table,
     matrix_automaton,
     matrix_table_entries,
-    memo_capacity,
+    track_search,
 )
 from .errors import InvalidInputError
 from .patterns import Pattern01, _embed, canonical_key, format_pattern, symmetry_variants
 from .records import (
     DEFAULT_NODE_BUDGET,
-    BudgetExhausted,
     ExRecord,
     GrowthReport,
     classify_increments,
@@ -144,91 +127,21 @@ def ex_on_member(
     its own.  The record is keyed on canonical_key(q) all the same."""
     _require_nonempty(q)
     k, m = q.num_rows, q.num_cols
-    # with all of q's columns equal, containment ignores the board's column
-    # order, so the board's columns may be taken in candidate order
-    sorted_cols = equal_columns(q)
 
     def search(budget: int) -> tuple[int, int, bool]:
         tracks, at = matrix_automaton(q.col_masks, k, n)
         if not tracks:
             return n * n, 0, True  # with no k board rows no copy of q fits
-        order = sorted(range(1 << n), key=lambda mask: (-mask.bit_count(), mask))
-        steps = [at[mask] for mask in order]
-        pcs = [mask.bit_count() for mask in order]
-        comp = completion_table(q.col_masks, k, n)
         per_row = comb(n - 1, k - 1)  # tracks through any one board row
-        full = (1 << tracks) - 1
-        done = tracks * m  # a state with a bit from here up holds a copy of q
-        shifts = range(0, done, tracks)
-        t_bits = n.bit_length()
-        # under sorted columns the key carries the last candidate index
-        start_bits = n if sorted_cols else 0
-        capacity = memo_capacity(done - tracks + t_bits + start_bits)
-        # two generations of at most capacity // 2 entries each, as in
-        # sequences.seq_ex_exact; an entry is value << 1 | exact
-        memo: dict[int, int] = {}
-        older: dict[int, int] = {}
-        best = nodes = 0
-
-        def rec(ones: int, t: int, state: int, start: int) -> int:
-            """The most ones t more columns can add to state, columns drawn
-            from candidate start on: exact when above alpha = best - ones at
-            the call, otherwise an upper bound no larger than alpha."""
-            nonlocal best, nodes, memo, older
-            counts = [(state >> shift & full).bit_count() for shift in shifts]
-            bound = sum(map(mul, counts, comp[t])) // per_row
-            if ones + bound <= best:
-                return bound
-            # states only grow, so the children's completion is bounded by ours
-            room_after = sum(map(mul, counts, comp[t - 1])) // per_row
-            longest = DEAD
-            for i in range(start, len(steps)):
-                if nodes >= budget:
-                    raise BudgetExhausted(best, nodes)
-                nodes += 1
-                pc = pcs[i]
-                cut = best - ones - pc  # a child beats best iff it adds more than this
-                # candidates sorted by popcount, nothing later can win; with
-                # sorted columns no later column has more ones than this one
-                if room_after <= cut:
-                    return max(longest, pc + room_after)
-                if sorted_cols and pc * (t - 1) <= cut:
-                    return max(longest, pc * t)
-                moved = state & steps[i]
-                nxt = state ^ moved | moved << tracks
-                if nxt >> done:
-                    continue
-                if t == 1:
-                    value = 0
-                    if cut < 0:
-                        best = ones + pc
-                else:
-                    nxt_start = i if sorted_cols else 0
-                    key = ((nxt >> tracks) << t_bits | t) << start_bits | nxt_start
-                    code = memo.get(key)
-                    if code is None:
-                        code = older.get(key)
-                    # a bound-only entry answers only a call it cannot beat
-                    if code is None or not code & 1 and code >> 1 > cut:
-                        value = rec(ones + pc, t - 1, nxt, nxt_start)
-                        code = value << 1 | (value > cut)
-                    else:
-                        value = code >> 1
-                    if len(memo) >= capacity // 2:
-                        older, memo = memo, {}
-                    memo[key] = code
-                    if value > cut:  # only an exact value comes back above cut
-                        best = ones + pc + value
-                if pc + value > longest:
-                    longest = pc + value
-            return longest
-
-        try:
-            rec(0, n, full, 0)
-        finally:
-            # rec and the memo form a cycle; free the memo now
-            memo.clear()
-            older.clear()
+        # field 0 holds the tracks the other fields leave, so the sum over
+        # tracks of comp[t][state] is T * comp[t][0] plus the terms of fields 1..
+        terms = [(0, tracks * c[0], [cj - c[0] for cj in c[1:]], per_row)
+                 for c in completion_table(q.col_masks, k, n)]
+        sorted_cols = equal_columns(q)
+        order = enumerate(column_order(n))
+        candidates = [(x.bit_count(), at[x], i if sorted_cols else 0) for i, x in order]
+        best, nodes = track_search(
+            tracks, tracks * m, [candidates] * (n + 1), terms, 0, budget, sorted_cols)
         return best, nodes, True
 
     return run_search("matrix", canonical_key(q), n, node_budget, search)

@@ -30,9 +30,9 @@ edges, is searched vertex by vertex instead, as a matrix problem (Pach and
 Tardos, "Forbidden paths and cycles in ordered graphs and matrices",
 2006): a copy of g is a copy of g's a x (k-a) biadjacency matrix in the
 board's upper-triangular adjacency matrix whose columns all come after its
-rows.  The search runs on automaton.matrix_automaton's packed tracks, one
-per a-set of board rows, each switched on by a gate after its last row,
-with a fail-low memo as in extremal.ex_on_member.
+rows.  It runs automaton.track_search, the matrix engine's memoized
+search, on matrix_automaton's packed tracks, one per a-set of board rows,
+each switched on by a gate after its last row.
 
 Text format: first line "n=<int>", then one "<u> <v>" pair per line with
 u < v, blank lines ignored.  A ';' may replace the newline as a single-line
@@ -45,15 +45,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import mul
 
 from .automaton import (
-    DEAD,
     MAX_TABLE_ENTRIES,
+    column_order,
     completion_table,
     matrix_automaton,
     matrix_table_entries,
-    memo_capacity,
+    track_search,
 )
 from .errors import InvalidInputError, InvalidTransformationError
 # canonical_key is not called here; perfbench's traced run rebinds it on this module.
@@ -335,109 +334,39 @@ def _og_vertex_search(
     gives: vertex v = 2..m takes its set of left neighbours, board column
     v over rows 1..m-1, most neighbours first, looking for a board with
     more than best edges.  Same arguments and result as _og_search."""
-    k = g.num_vertices
     rows = m - 1  # vertex m is nobody's left neighbour
-    col_masks = tuple(
-        sum(1 << (u - 1) for u in g.neighbors(w)) for w in range(a + 1, k + 1)
-    )
+    b = g.num_vertices - a
+    col_masks = tuple(sum(1 << (u - 1) for u in g.neighbors(a + j)) for j in range(1, b + 1))
     tracks, at = matrix_automaton(col_masks, a, rows)
     comp = completion_table(col_masks, a, rows)
-    full = (1 << tracks) - 1
-    done = tracks * len(col_masks)  # a state with a bit from here up holds a copy of g
-    shifts = range(tracks, done, tracks)  # fields 1.. ; field 0 follows from them
     # gate[v]: in every field, the tracks whose rows all lie before vertex v
-    gate = [0] * (m + 2)
+    fields = sum(1 << shift for shift in range(0, tracks * b, tracks))
+    gate = [0] * (m + 1)
     for t, chosen in enumerate(combinations(range(rows), a)):
-        gate[chosen[-1] + 2] |= 1 << t
-    for v in range(3, m + 2):
+        gate[chosen[-1] + 2] |= fields << t
+    for v in range(3, m + 1):
         gate[v] |= gate[v - 1]
-    fields = sum(1 << shift for shift in range(0, done, tracks))
-    # per vertex v, columns v..m to come: the bound's terms (docstring) as
-    # ceiling + (base + counts of fields 1.. times weights) // per_row
-    terms = [None] * (m + 2)
-    for v in range(2, m + 2):
-        t = m - v + 1
+    # the bound's terms (docstring) with t = m-v+1 columns v..m to come
+    terms = []
+    for t in range(m):
+        v = m - t + 1
         per_row = comb(v - 2, a - 1)  # tracks with rows before v through one such row
         if per_row:
             base = comb(v - 1, a) * comp[t][0]
-            weights = [comp[t][j] - comp[t][0] for j in range(1, len(col_masks))]
+            weights = [comp[t][j] - comp[t][0] for j in range(1, b)]
         else:  # fewer than a rows so far: each takes at most t more edges
-            per_row, base, weights = 1, (v - 1) * t, [0] * (len(col_masks) - 1)
-        terms[v] = ceiling[t], base, weights, per_row
-    candidates = [None] * (m + 1)
-    for v in range(2, m + 1):
-        order = sorted(range(1 << (v - 1)), key=lambda x: (-x.bit_count(), x))
-        opened = gate[v] * fields
-        candidates[v] = [(x.bit_count(), at[x] & opened) for x in order]
-    v_bits = m.bit_length()
-    capacity = memo_capacity(done - tracks + v_bits)
-    # two generations of at most capacity // 2 entries each, as in
-    # extremal.ex_on_member; an entry is value << 1 | exact
-    memo: dict[int, int] = {}
-    older: dict[int, int] = {}
-    nodes = 0
-
-    def room(v: int, counts: list[int]) -> int:
-        """The bound on what columns v..m add, from the field counts."""
-        new, base, weights, per_row = terms[v]
-        return new + (base + sum(map(mul, counts, weights))) // per_row
-
-    def rec(ones: int, v: int, state: int) -> int:
-        """The most edges columns v..m can add to state: exact when above
-        alpha = best - ones at the call, otherwise an upper bound no larger
-        than alpha."""
-        nonlocal best, nodes, memo, older
-        counts = [(state >> shift & full).bit_count() for shift in shifts]
-        bound = room(v, counts)
-        if ones + bound <= best:
-            return bound
-        # the children's states only grow, so room at v + 1 from this state
-        # bounds what each child's columns add
-        room_after = room(v + 1, counts)
-        longest = DEAD
-        for pc, step in candidates[v]:
-            if nodes >= node_budget:
-                raise BudgetExhausted(best, nodes)
-            nodes += 1
-            cut = best - ones - pc  # a child beats best iff it adds more than this
-            if room_after <= cut:  # by popcount, nothing later can win
-                return max(longest, pc + room_after)
-            moved = state & step
-            nxt = state ^ moved | moved << tracks
-            if nxt >> done:
-                continue
-            if v == m:
-                value = 0
-                if cut < 0:
-                    best = ones + pc
-            else:
-                key = (nxt >> tracks) << v_bits | v
-                code = memo.get(key)
-                if code is None:
-                    code = older.get(key)
-                # a bound-only entry answers only a call it cannot beat
-                if code is None or not code & 1 and code >> 1 > cut:
-                    value = rec(ones + pc, v + 1, nxt)
-                    code = value << 1 | (value > cut)
-                else:
-                    value = code >> 1
-                if len(memo) >= capacity // 2:
-                    older, memo = memo, {}
-                memo[key] = code
-                if value > cut:  # only an exact value comes back above cut
-                    best = ones + pc + value
-            if pc + value > longest:
-                longest = pc + value
-        return longest
-
+            per_row, base, weights = 1, (v - 1) * t, [0] * (b - 1)
+        terms.append((ceiling[t], base, weights, per_row))
+    order = column_order(rows)
+    # t = m-v+1: vertex v's sets of left neighbours, the masks below 1 << (v-1)
+    candidates = [[]] + [
+        [(x.bit_count(), at[x] & gate[v], 0) for x in order if x >> (v - 1) == 0]
+        for v in range(m, 1, -1)
+    ]
     try:
-        rec(0, 2, full)
-    except BudgetExhausted:
-        return best, nodes, False
-    finally:
-        # rec and the memo form a cycle; free the memo now
-        memo.clear()
-        older.clear()
+        best, nodes = track_search(tracks, tracks * b, candidates, terms, best, node_budget)
+    except BudgetExhausted as stop:
+        return *stop.args, False
     return best, nodes, True
 
 
@@ -508,14 +437,9 @@ def og_ex_exact(
     C(v-2, a-1) such sets, so the sum of comp[t][s_S] over them divided
     by C(v-2, a-1) bounds the old-to-new edges; while v-1 < a, each old
     vertex takes at most t.  A child's tracks never move down and its new
-    tracks start in state 0, so the bound at v+1 from the parent's state
-    bounds what every child adds, and the children come in falling
-    popcount, so the first that cannot beat the best board ends the loop.
-
-    Memo: the most edges columns v..m add depends only on v and the track
-    state (without field 0), and is memoized on the two by the fail-low
-    rule, capacity and generations of extremal.ex_on_member; a memo hit
-    costs no node and the best board is raised only from exact values.
+    tracks start in state 0, so the bound never grows, as the matrix
+    engine's automaton.track_search, which runs this search and whose
+    docstring gives its memo, requires.
     """
     if not g.edges:
         raise InvalidInputError("forbidden graph needs at least one edge")

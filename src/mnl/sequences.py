@@ -174,11 +174,9 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     length to the word's length plus its continuation, a word the search has
     seen.  A continuation whose search took at most n nodes is not kept:
     redoing it costs at most n nodes, and few are asked for again (on
-    abcacbc at n=5, 139 of 11,243 were).  The memo holds at most
-    MAX_MEMO_ENTRIES (fewer in proportion for a key longer than
-    MEMO_KEY_BITS) in two generations: when the newer half fills, the older
-    half is dropped, and a value dropped is recomputed when next needed, so
-    the result stays exact.
+    abcacbc at n=5, 139 of 11,243 were).  The memo is capped in two
+    generations as automaton.track_search's is, so a value dropped is
+    recomputed and the result stays exact.
     """
     r = u.alphabet_size
     m = len(u.letters)

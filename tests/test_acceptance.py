@@ -15,7 +15,7 @@ from mnl.ordered_graphs import (
     og_insert_split_vertex,
     parse_ordered_graph,
 )
-from mnl.patterns import Pattern01, insert_split_column, parse_pattern
+from mnl.patterns import Pattern01, canonical_key, insert_split_column, parse_pattern
 from mnl.pipeline import (
     enumerate_candidates,
     known_mnl_2row,
@@ -216,3 +216,30 @@ def test_criterion_12_subpattern_linearity_echo():
     report(12, "one-deletion subpatterns classify as linear at n_max=5",
            not bad,
            f"{len(inconclusive)} saturated cases listed, none superlinear" if not bad else f"failures: {bad}")
+
+
+def test_criterion_12_one_size_up():
+    """At n_max=6 no one-deletion subpattern of the seven is saturated any
+    longer: every orbit reads apparently-linear, with these values."""
+    expected = {
+        "0001/1010": (1, 4, 9, 13, 17, 21),
+        "00/01/10/01": (1, 4, 9, 13, 17, 21),
+        "001/101": (1, 4, 7, 10, 13, 16),
+        "01/10/01": (1, 4, 7, 10, 13, 16),
+        "00/01/11": (1, 4, 7, 10, 13, 16),
+        "001/110": (1, 4, 7, 10, 13, 16),
+        "01/11": (1, 3, 5, 7, 9, 11),
+    }
+    orbits = {}
+    for parent in known_mnl_2row():
+        for pos in parent.ones:
+            sub = Pattern01(parent.num_rows, parent.num_cols, parent.ones - {pos})
+            orbits.setdefault(canonical_key(sub), sub)
+    got = {}
+    for key, sub in orbits.items():
+        rep = growth_report(sub, 6)
+        got[key] = (rep.classification, tuple(v for _, v in rep.values))
+    want = {key: ("apparently-linear", values) for key, values in expected.items()}
+    ok = got == want
+    report(12, "one-deletion subpatterns classify as linear at n_max=6", ok,
+           f"{len(got)} orbits" if ok else f"got {got}")

@@ -1,6 +1,7 @@
 """The search driver shared by the three exact engines: what a node budget
-means, the refusal of a negative one, and the names the benchmark's traced
-run rebinds to count engine nodes through the CLI."""
+means, the refusal of a negative one, the node counts of fixed instances,
+and the names the benchmark's traced run rebinds to count engine nodes
+through the CLI."""
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,29 @@ def test_budget_counts_nodes_alike_in_every_engine(case):
     for budget in range(full.nodes_explored):
         rec = solve(budget)
         assert not rec.exact and rec.nodes_explored <= budget and rec.value <= full.value
+
+
+def test_node_counts_are_pinned():
+    """Node counts are deterministic, so a change to any engine's search
+    order, bound or memo key shows here: the exact-ladder totals of the
+    benchmark (perfbench/ladder.py) and README's figures for ex(6, P)."""
+    matrices = "0010/0101 0101/1010 011/101 101/011 101/110 1010/0101 11/11 110/101".split()
+    sequences = ("ababa", "abcacbc")
+    graphs = ("n=4;1 3;1 4;2 3;2 4", "n=4;1 3;2 4")
+    ladder = {
+        "matrix": [ex_branch_bound(n, parse_pattern(p)) for p in matrices for n in (4, 5)],
+        "sequence": [seq_ex_exact(parse_sequence(u), n) for u in sequences for n in (3, 4, 5)],
+        "ordered-graph": [og_ex_exact(n, parse_ordered_graph(g)) for g in graphs for n in (6, 7, 8)],
+    }
+    assert all(rec.exact for recs in ladder.values() for rec in recs)
+    totals = {kind: sum(rec.nodes_explored for rec in recs) for kind, recs in ladder.items()}
+    assert totals == {"matrix": 7780, "sequence": 64048, "ordered-graph": 37230}
+    # pattern -> (ex(6, P), nodes)
+    readme = {"11/11": (16, 3234), "1010/0101": (24, 4397), "0010/0101": (21, 1797),
+              "101/011": (20, 50637)}
+    for p, want in readme.items():
+        rec = ex_branch_bound(6, parse_pattern(p))
+        assert rec.exact and (rec.value, rec.nodes_explored) == want, p
 
 
 @pytest.mark.parametrize("case", ENGINES)
