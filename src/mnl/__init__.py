@@ -3,7 +3,7 @@ generalized Davenport-Schinzel sequences, and ordered graphs, plus a
 structural-filter pipeline for candidate minimally non-linear patterns."""
 
 from .errors import InvalidInputError, InvalidTransformationError
-from .extremal import ex_branch_bound, ex_exhaustive, growth_report
+from .extremal import ex_branch_bound, growth_report
 from .ordered_graphs import (
     Bipartition,
     OrderedGraph,

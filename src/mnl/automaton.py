@@ -230,6 +230,23 @@ def completion_table(col_masks: tuple[int, ...], k: int, n: int) -> list[list[in
     return comp
 
 
+def completion_term(
+    comp: list[list[int]], t: int, rows: int, k: int, new: int
+) -> tuple[int, int, list[int], int]:
+    """track_search's bound term for t more columns on the tracks of the
+    k-sets of rows board rows, comp their completion_table: new plus the
+    sum over those tracks of comp[t][state], divided by the C(rows-1, k-1)
+    tracks through any one row.  Field 0 holds the tracks the other fields
+    leave, so the sum is C(rows, k) * comp[t][0] plus each field's count
+    times comp[t][j] - comp[t][0].  With fewer than k rows there is no
+    track, and each row takes at most t more ones."""
+    per_row = comb(rows - 1, k - 1)
+    c = comp[t]
+    if not per_row:
+        return new, rows * t, [0] * (len(c) - 1), 1
+    return new, comb(rows, k) * c[0], [cj - c[0] for cj in c[1:]], per_row
+
+
 def sequence_automaton(letters: tuple[int, ...], num_symbols: int) -> tuple[int, list[int]]:
     """The tracks of a sequence needle over board symbols 1..num_symbols,
     one per injective map of its symbols into them, packed bit-parallel.

@@ -1,12 +1,9 @@
 """Exact computation of the forbidden-pattern extremal value for 0-1 matrices.
 
 ex(n, p) is the maximum number of ones in an n x n 0-1 matrix containing no
-copy of p.  Two engines are provided:
-
-- ex_exhaustive: plain enumeration of all 2^(n*n) matrices, restricted to
-  n <= 4.  It exists as the independent cross-check for the search engine.
-- ex_branch_bound: depth-first search filling the matrix column by column,
-  each column a row bitmask, tried in decreasing population count.
+copy of p.  ex_branch_bound computes it by depth-first search filling the
+matrix column by column, each column a row bitmask, tried in decreasing
+population count.
 
 ex(n, p) is the same for all 8 dihedral images of p, so ex_branch_bound
 searches one member q of p's orbit, whichever image it is handed, and keys
@@ -29,29 +26,28 @@ branch dies once a track matches all of q.  Every board column mask is a
 candidate.  A per-state completion table gives the most ones a track's
 rows can still take without completing q; each board row lies in
 C(n-1, k-1) tracks, so the sum over tracks divided by that bounds the
-remaining ones.  When q's columns are all equal, containment does not
-depend on the board's column order, so the board's columns are taken in
-sorted order (track_search's sorted_cols).  Exactness is never at stake,
-only speed.
+remaining ones (automaton.completion_term).  When q's columns are all
+equal, containment does not depend on the board's column order, so the
+board's columns are taken in sorted order (track_search's sorted_cols).
+Exactness is never at stake, only speed.
 
 The search is deterministic and single threaded; records say exact=False
 instead of failing when the node budget runs out.
 """
 from __future__ import annotations
 
-from itertools import product
-from math import comb
-
 from .automaton import (
     MAX_TABLE_ENTRIES,
     column_order,
     completion_table,
+    completion_term,
     matrix_automaton,
     matrix_table_entries,
     track_search,
 )
 from .errors import InvalidInputError
-from .patterns import Pattern01, _embed, canonical_key, format_pattern, symmetry_variants
+# _embed is not called here; perfbench's traced run rebinds it on this module.
+from .patterns import Pattern01, _embed, canonical_key, format_pattern, symmetry_variants  # noqa: F401
 from .records import (
     DEFAULT_NODE_BUDGET,
     ExRecord,
@@ -60,31 +56,10 @@ from .records import (
     run_search,
 )
 
-_ORACLE_MAX_N = 4
-
 
 def _require_nonempty(p: Pattern01) -> None:
     if not p.ones:
         raise InvalidInputError("pattern with no ones is rejected by extremal operations")
-
-
-def ex_exhaustive(n: int, p: Pattern01) -> int:
-    """Exact ex(n, p) by enumerating every n x n 0-1 matrix.  Only for
-    n <= 4; larger boards are the search engine's job."""
-    if not 1 <= n <= _ORACLE_MAX_N:
-        raise InvalidInputError(
-            f"ex_exhaustive enumerates 2^(n^2) matrices and accepts 1 <= n <= {_ORACLE_MAX_N}, got {n}"
-        )
-    _require_nonempty(p)
-    pcs = [bin(m).count("1") for m in range(1 << n)]
-    best = 0
-    for cols in product(range(1 << n), repeat=n):
-        total = sum(pcs[c] for c in cols)
-        if total <= best:
-            continue
-        if not _embed(cols, n, p):
-            best = total
-    return best
 
 
 def equal_columns(q: Pattern01) -> bool:
@@ -128,21 +103,17 @@ def ex_on_member(
     _require_nonempty(q)
     k, m = q.num_rows, q.num_cols
 
-    def search(budget: int) -> tuple[int, int, bool]:
+    def search(budget: int) -> tuple[int, int]:
         tracks, at = matrix_automaton(q.col_masks, k, n)
         if not tracks:
-            return n * n, 0, True  # with no k board rows no copy of q fits
-        per_row = comb(n - 1, k - 1)  # tracks through any one board row
-        # field 0 holds the tracks the other fields leave, so the sum over
-        # tracks of comp[t][state] is T * comp[t][0] plus the terms of fields 1..
-        terms = [(0, tracks * c[0], [cj - c[0] for cj in c[1:]], per_row)
-                 for c in completion_table(q.col_masks, k, n)]
+            return n * n, 0  # with no k board rows no copy of q fits
+        comp = completion_table(q.col_masks, k, n)
+        terms = [completion_term(comp, t, n, k, 0) for t in range(n + 1)]
         sorted_cols = equal_columns(q)
         order = enumerate(column_order(n))
         candidates = [(x.bit_count(), at[x], i if sorted_cols else 0) for i, x in order]
-        best, nodes = track_search(
+        return track_search(
             tracks, tracks * m, [candidates] * (n + 1), terms, 0, budget, sorted_cols)
-        return best, nodes, True
 
     return run_search("matrix", canonical_key(q), n, node_budget, search)
 

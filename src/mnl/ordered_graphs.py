@@ -40,9 +40,9 @@ variant (used for cache keys and tsv cells).
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb
 
@@ -50,6 +50,7 @@ from .automaton import (
     MAX_TABLE_ENTRIES,
     column_order,
     completion_table,
+    completion_term,
     matrix_automaton,
     matrix_table_entries,
     track_search,
@@ -251,14 +252,14 @@ def og_contains(h: OrderedGraph, g: OrderedGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 def _og_search(
-    m: int, g: OrderedGraph, ceiling: list[int], best: int, node_budget: int
-) -> tuple[int, int, bool]:
+    g: OrderedGraph, m: int, ceiling: list[int], best: int, node_budget: int
+) -> tuple[int, int]:
     """Depth-first include/exclude over the edge slots of an m-vertex board
     in lexicographic order, include first, looking for a board with more
     than best edges.  ceiling[j] bounds ex_<(j, g) from above for j < m.
     The stack of included slots is explicit, so the depth is not limited
-    by Python's recursion limit.  Returns (best, nodes, complete), where
-    complete is False when the budget ran out first."""
+    by Python's recursion limit.  Returns (best, nodes), or raises
+    BudgetExhausted(best, nodes) when the budget runs out first."""
     k, _, _, below = _needle(g)
     # the pins of og_ex_exact's docstring: a new copy maps left to u, right to v
     left = max(a for a, _ in g.edges)
@@ -286,7 +287,7 @@ def _og_search(
             descend = count + room > best
         if descend:
             if nodes >= node_budget:
-                return best, nodes, False
+                raise BudgetExhausted(best, nodes)
             nodes += 1
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -309,18 +310,19 @@ def _og_search(
             adj[v] ^= 1 << u
             count -= 1
         else:
-            return best, nodes, True
+            return best, nodes
         u, v = (u, v + 1) if v < m else (u + 1, u + 2)
 
 
 def _two_interval_split(g: OrderedGraph, n: int) -> int:
     """a when og_ex_exact solves g on n vertices vertex by vertex, else 0:
-    every edge runs from 1..a to a+1..k (interval chromatic number 2),
-    vertices a and a+1 both lie on an edge, and the tables of the n-1
-    board rows fit MAX_TABLE_ENTRIES.  The first two hold together iff
-    g's last left endpoint is a and its first right endpoint a+1."""
+    g fits on the board, every edge runs from 1..a to a+1..k (interval
+    chromatic number 2), vertices a and a+1 both lie on an edge, and the
+    tables of the n-1 board rows fit MAX_TABLE_ENTRIES.  The middle two
+    hold together iff g's last left endpoint is a and its first right
+    endpoint a+1."""
     a = max(u for u, _ in g.edges)
-    if a + 1 != min(v for _, v in g.edges):
+    if g.num_vertices > n or a + 1 != min(v for _, v in g.edges):
         return 0
     if matrix_table_entries(a, g.num_vertices - a, n - 1) > MAX_TABLE_ENTRIES:
         return 0
@@ -328,46 +330,38 @@ def _two_interval_split(g: OrderedGraph, n: int) -> int:
 
 
 def _og_vertex_search(
-    m: int, g: OrderedGraph, a: int, ceiling: list[int], best: int, node_budget: int
-) -> tuple[int, int, bool]:
+    g: OrderedGraph, a: int, n: int
+) -> Callable[[int, list[int], int, int], tuple[int, int]]:
     """og_ex_exact's search for a g split after vertex a, as its docstring
-    gives: vertex v = 2..m takes its set of left neighbours, board column
-    v over rows 1..m-1, most neighbours first, looking for a board with
-    more than best edges.  Same arguments and result as _og_search."""
-    rows = m - 1  # vertex m is nobody's left neighbour
+    gives, its tables built once on the n-1 rows of the largest board:
+    search(m, ceiling, best, node_budget), with _og_search's contract, has
+    vertex v = 2..m take its set of left neighbours, most first."""
+    rows = n - 1  # vertex n is nobody's left neighbour
     b = g.num_vertices - a
     col_masks = tuple(sum(1 << (u - 1) for u in g.neighbors(a + j)) for j in range(1, b + 1))
     tracks, at = matrix_automaton(col_masks, a, rows)
     comp = completion_table(col_masks, a, rows)
     # gate[v]: in every field, the tracks whose rows all lie before vertex v
     fields = sum(1 << shift for shift in range(0, tracks * b, tracks))
-    gate = [0] * (m + 1)
+    gate = [0] * (n + 1)
     for t, chosen in enumerate(combinations(range(rows), a)):
         gate[chosen[-1] + 2] |= fields << t
-    for v in range(3, m + 1):
+    for v in range(3, n + 1):
         gate[v] |= gate[v - 1]
-    # the bound's terms (docstring) with t = m-v+1 columns v..m to come
-    terms = []
-    for t in range(m):
-        v = m - t + 1
-        per_row = comb(v - 2, a - 1)  # tracks with rows before v through one such row
-        if per_row:
-            base = comb(v - 1, a) * comp[t][0]
-            weights = [comp[t][j] - comp[t][0] for j in range(1, b)]
-        else:  # fewer than a rows so far: each takes at most t more edges
-            per_row, base, weights = 1, (v - 1) * t, [0] * (b - 1)
-        terms.append((ceiling[t], base, weights, per_row))
     order = column_order(rows)
-    # t = m-v+1: vertex v's sets of left neighbours, the masks below 1 << (v-1)
-    candidates = [[]] + [
+    # columns[v]: vertex v's sets of left neighbours, the masks below 1 << (v-1)
+    columns = [[], []] + [
         [(x.bit_count(), at[x] & gate[v], 0) for x in order if x >> (v - 1) == 0]
-        for v in range(m, 1, -1)
+        for v in range(2, n + 1)
     ]
-    try:
-        best, nodes = track_search(tracks, tracks * b, candidates, terms, best, node_budget)
-    except BudgetExhausted as stop:
-        return *stop.args, False
-    return best, nodes, True
+
+    def search(m: int, ceiling: list[int], best: int, node_budget: int) -> tuple[int, int]:
+        # t = m-v+1 columns v..m to come, v-1 = m-t rows before them
+        terms = [completion_term(comp, t, m - t, a, ceiling[t]) for t in range(m)]
+        candidates = [[]] + columns[m:1:-1]
+        return track_search(tracks, tracks * b, candidates, terms, best, node_budget)
+
+    return search
 
 
 def og_ex_exact(
@@ -395,9 +389,11 @@ def og_ex_exact(
     branch that cannot beat the best board found is cut.  The values for
     m < n come from exact searches inside this call, smallest m first, on
     the same node budget, counted in nodes_explored; for m < |V(g)| the
-    value is C(m, 2).  A sub-search that runs out of budget ends the call
-    with an inexact record; what it found is only a lower bound and never
-    becomes a ceiling.
+    value is C(m, 2).  A sub-search that runs out of budget raises
+    BudgetExhausted, which ends the call with an inexact record; what it
+    found is only a lower bound and never becomes a ceiling.  The record
+    names a board on n vertices: the sub-search's best when m = n or when
+    g's last vertex has an edge (Start, below), else 0.
 
     Start: when g's last vertex has an edge, a g-free board with an
     isolated vertex appended is still g-free, since only g's last vertex
@@ -420,11 +416,16 @@ def og_ex_exact(
 
     Vertex v = 2..m takes its column, one of the 2^(v-1) sets of left
     neighbours, most neighbours first; each set tried is one node.  Each S
-    is one track of matrix_automaton(M's columns, a, m-1): it greedily
+    is one track of matrix_automaton(M's columns, a, n-1): it greedily
     matches M's columns against the board's on the rows S, and the board
     holds g iff some track matches all b.  The gate: column v steps only
     the tracks with max(S) < v, by ANDing at[x] with the tracks whose
     rows all lie before v, in every field; the others wait in field 0.
+    An m-vertex board never switches on a track with a row at or after
+    vertex m, so the tables (automaton, completion table, gates and each
+    vertex's candidate list) are built once per call, on the n-1 rows of
+    the largest board, and serve every m <= n; each board builds only
+    the bound's terms, which hold the ceilings.
 
     Bound at vertex v, t = m-v+1 columns to come: an edge still to come
     has its right end in v..m.  Those with both ends there lie in the
@@ -447,22 +448,21 @@ def og_ex_exact(
     grows = max(b for _, b in g.edges) == k  # g's last vertex has an edge
     a = _two_interval_split(g, n)
 
-    def search(budget: int) -> tuple[int, int, bool]:
+    def search(budget: int) -> tuple[int, int]:
         ceiling = [comb(m, 2) for m in range(n + 1)]  # upper bounds on ex_<(m, g)
-        value, nodes, exact = ceiling[n], 0, True  # stands when g outgrows the board
-        for m in range(k, n + 1):
-            seed = value if grows and m > k else 0
-            if a:
-                value, used, exact = _og_vertex_search(m, g, a, ceiling, seed, budget - nodes)
-            else:
-                value, used, exact = _og_search(m, g, ceiling, seed, budget - nodes)
-            nodes += used
-            if not exact:
+        sub_search = _og_vertex_search(g, a, n) if a else partial(_og_search, g)
+        nodes = 0
+        for m in range(k, n + 1):  # none when g outgrows the board
+            seed = ceiling[m - 1] if grows and m > k else 0
+            try:
+                ceiling[m], used = sub_search(m, ceiling, seed, budget - nodes)
+            except BudgetExhausted as stop:
+                value, used = stop.args
                 if m < n and not grows:
                     value = 0  # a board on m < n vertices proves nothing about n
-                break
-            ceiling[m] = value
-        return value, nodes, exact
+                raise BudgetExhausted(value, nodes + used) from None
+            nodes += used
+        return ceiling[n], nodes
 
     return run_search("ordered-graph", og_key(g), n, node_budget, search)
 

@@ -83,18 +83,19 @@ def run_search(
     key: str,
     n: int,
     node_budget: int,
-    search: Callable[[int], tuple[int, int, bool]],
+    search: Callable[[int], tuple[int, int]],
 ) -> ExRecord:
-    """Run search(node_budget) -> (value, nodes, exact) on a board of size n
-    and return its timed record.  A search may also stop by raising
-    BudgetExhausted(value, nodes), which records an inexact value."""
+    """Run search(node_budget) -> (value, nodes) on a board of size n and
+    return its timed record, exact when the search returns.  A search whose
+    budget runs out raises BudgetExhausted(value, nodes) instead, which
+    records an inexact value; that is its only way to stop early."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if node_budget < 0:
         raise InvalidInputError(f"node budget must be >= 0, got {node_budget}")
     start = time.monotonic()
     try:
-        value, nodes, exact = search(node_budget)
+        (value, nodes), exact = search(node_budget), True
     except BudgetExhausted as stop:
         (value, nodes), exact = stop.args, False
     elapsed_ms = int((time.monotonic() - start) * 1000)

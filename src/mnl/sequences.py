@@ -181,7 +181,7 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     r = u.alphabet_size
     m = len(u.letters)
 
-    def search(budget: int) -> tuple[int, int, bool]:
+    def search(budget: int) -> tuple[int, int]:
         tracks, at = sequence_automaton(u.letters, n)
         done = tracks * m  # a state with a bit from here up holds a copy of u
         span = (n + 1) ** (r - 1)  # window codes lie below span
@@ -240,7 +240,7 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
             # rec and the memo form a cycle; free the memo now
             memo.clear()
             older.clear()
-        return best, nodes, True
+        return best, nodes
 
     return run_search("sequence", format_sequence(u), n, node_budget, search)
 

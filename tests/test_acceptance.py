@@ -8,7 +8,7 @@ import random
 import time
 from pathlib import Path
 
-from mnl.extremal import ex_branch_bound, ex_exhaustive, growth_report
+from mnl.extremal import ex_branch_bound, growth_report
 from mnl.ordered_graphs import (
     interval_chromatic,
     og_ex_exact,
@@ -26,6 +26,7 @@ from mnl.pipeline import (
 from mnl.sequences import parse_sequence, seq_ex_exact
 
 from oracles import (
+    naive_ex,
     naive_interval_chromatic,
     naive_og_ex,
     naive_seq_ex,
@@ -92,7 +93,7 @@ def test_criterion_04_oracle_equivalence(suite_patterns):
     for p in suite_patterns:
         for n in range(1, 5):
             rec = ex_branch_bound(n, p)
-            if not rec.exact or rec.value != ex_exhaustive(n, p):
+            if not rec.exact or rec.value != naive_ex(n, p):
                 bad.append((str(p), n))
     report(4, f"search equals exhaustive oracle on {len(suite_patterns)} patterns, n<=4",
            not bad, f"mismatches: {bad}" if bad else "zero tolerance")

@@ -1,6 +1,7 @@
 """The subsequence-automaton kernel against the naive oracles, and the
 up-front refusal of tables too large to build."""
 import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +10,7 @@ from mnl.automaton import (
     DEAD,
     MAX_TABLE_ENTRIES,
     completion_table,
+    completion_term,
     matrix_automaton,
     matrix_table_entries,
     sequence_automaton,
@@ -131,6 +133,32 @@ def test_completion_table_matches_naive_completion(needle, n):
             assert row[s] == (DEAD if want is None else want), (t, s)
             if s + 1 < m:
                 assert row[s + 1] <= row[s]
+
+
+@CHECK
+@given(matrices(3, 3), st.integers(1, 5), st.data())
+def test_completion_term_sums_comp_over_tracks(needle, rows, data):
+    k, m = needle.num_rows, needle.num_cols
+    comp = completion_table(needle.col_masks, k, rows)
+    t = data.draw(st.integers(0, rows))
+    term = completion_term(comp, t, rows, k, 7)
+    if rows < k:  # no track: each row takes at most t more ones
+        assert term == (7, rows * t, [0] * (m - 1), 1)
+        return
+    # a state the board columns reach without completing the needle
+    tracks, at = matrix_automaton(needle.col_masks, k, rows)
+    state = (1 << tracks) - 1
+    for x in data.draw(st.lists(st.integers(0, (1 << rows) - 1), max_size=4)):
+        moved = state & at[x]
+        nxt = state ^ moved | moved << tracks
+        if not nxt >> (tracks * m):
+            state = nxt
+    field = [next(j for j in range(m) if state >> (j * tracks + i) & 1) for i in range(tracks)]
+    new, base, weights, per_row = term
+    counts = [(state >> (j * tracks)) % (1 << tracks) for j in range(1, m)]
+    got = new + (base + sum(c.bit_count() * w for c, w in zip(counts, weights))) // per_row
+    assert per_row == comb(rows - 1, k - 1)
+    assert got == 7 + sum(comp[t][s] for s in field) // per_row
 
 
 @SEARCH

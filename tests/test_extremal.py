@@ -7,7 +7,6 @@ from mnl.errors import InvalidInputError
 from mnl.extremal import (
     equal_columns,
     ex_branch_bound,
-    ex_exhaustive,
     ex_on_member,
     growth_report,
     search_member,
@@ -24,33 +23,28 @@ from mnl.patterns import (
 )
 from mnl.records import DEFAULT_NODE_BUDGET, ExRecord
 
-from oracles import naive_ex
+from oracles import naive_ex, tree_ex
 
 P = parse_pattern
 
 
 class TestExhaustive:
+    """The brute-force oracle the search is checked against, on known values."""
+
     def test_row_pair(self):
-        assert ex_exhaustive(3, P("11")) == 3
+        assert naive_ex(3, P("11")) == 3
 
     def test_tiny_board(self):
-        assert ex_exhaustive(1, P("11")) == 1
+        assert naive_ex(1, P("11")) == 1
 
     def test_all_ones_block(self):
-        assert ex_exhaustive(2, P("11/11")) == 3
+        assert naive_ex(2, P("11/11")) == 3
 
     def test_matches_independent_oracle(self):
+        # every board against the memo-free branch and bound
         for text in ("11", "111", "11/11", "101/011", "1010/0101"):
             for n in (2, 3):
-                assert ex_exhaustive(n, P(text)) == naive_ex(n, P(text))
-
-    def test_refuses_out_of_range(self):
-        with pytest.raises(InvalidInputError, match="1 <= n <= 4"):
-            ex_exhaustive(5, P("11"))
-
-    def test_rejects_empty_pattern(self):
-        with pytest.raises(InvalidInputError):
-            ex_exhaustive(2, Pattern01(1, 1, frozenset()))
+                assert naive_ex(n, P(text)) == tree_ex(n, P(text))
 
 
 class TestBranchBound:
@@ -64,14 +58,14 @@ class TestBranchBound:
 
     def test_block_matches_oracle(self):
         rec = ex_branch_bound(4, P("11/11"))
-        assert rec.value == ex_exhaustive(4, P("11/11")) == 9
+        assert rec.value == naive_ex(4, P("11/11")) == 9
 
     def test_oracle_equivalence_sample(self, suite_patterns):
         for p in suite_patterns[:4]:
             for n in range(1, 4):
                 rec = ex_branch_bound(n, p)
                 assert rec.exact
-                assert rec.value == ex_exhaustive(n, p)
+                assert rec.value == naive_ex(n, p)
 
     def test_monotone_in_n(self, suite_patterns):
         for p in suite_patterns:
