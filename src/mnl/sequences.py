@@ -12,7 +12,11 @@ mnl.automaton: one track per injective map of the needle's symbols into the
 board's, all of them packed into one int and stepped together, a copy found
 as soon as one track matches the whole needle.  The exact search memoizes
 the longest continuation of a word on what decides it: the track state, the
-last r-1 letters and the largest symbol used.
+last r-1 letters and the largest symbol used.  The candidate stream grows
+its words level by level, all valid prefixes of one length at a time, and
+steps each prefix once; it holds two levels, and ends with
+InvalidInputError rather than hold one of more than MAX_MEMO_ENTRIES
+prefixes.
 
 Text format: lowercase letters a-z (a=1, b=2, ...) for alphabets up to 26,
 comma-separated positive integers otherwise.  Parsing normalizes, so "bab"
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from heapq import merge
 from typing import Iterable, Iterator
 
-from .automaton import memo_capacity, sequence_automaton
+from .automaton import MAX_MEMO_ENTRIES, memo_capacity, sequence_automaton
 from .errors import InvalidInputError, InvalidTransformationError
 from .records import DEFAULT_NODE_BUDGET, BudgetExhausted, ExRecord, run_search
 
@@ -46,7 +50,8 @@ class Sequence:
                 raise InvalidInputError(
                     f"not normalized: symbol {x} appears before {top + 1}"
                 )
-            top = max(top, x)
+            if x > top:  # so x == top + 1
+                top = x
 
     @property
     def alphabet_size(self) -> int:
@@ -264,25 +269,52 @@ def insert_repeat(u: Sequence, symbol: int, gap_index: int) -> Sequence:
     return Sequence(letters[:gap_index] + (symbol,) + letters[gap_index:])
 
 
-def _candidates_of_length(length: int, k: int, segment_cap: int) -> Iterator[tuple[int, ...]]:
-    """Lexicographic stream of normalized words of the given length over
-    exactly k symbols with runs of length <= 2, at most segment_cap runs,
-    and no copy of ababa."""
+def _candidate_words(k: int, segment_cap: int) -> Iterator[tuple[int, ...]]:
+    """The words of mnl_seq_candidates but the injected ababa, in
+    length-then-lexicographic order, built level by level.
+
+    Every condition of the stream also holds for prefixes.  So the valid
+    prefixes of length L + 1 are those of length L, in lexicographic order,
+    each extended by increasing letters, and they come out in lexicographic
+    order too; the ones over all k letters are yielded as the level is
+    built.  A prefix is dropped when the k - used letters it lacks no
+    longer fit before length 2 * segment_cap.
+
+    A prefix's extensions depend only on its condition state: the ababa
+    track state, its number of runs, the largest letter used, its last
+    letter and whether that letter ends a run of 2.  These states are
+    interned as they appear, and each one is stepped on the automaton once
+    per letter, so a prefix is one int: its state's number above its
+    letters, one byte each, first letter highest.  sequence_automaton
+    refuses ababa over more than 94 letters, so a letter fits in a byte.
+    Two levels are held at once, and a level of more than
+    MAX_MEMO_ENTRIES prefixes ends the stream with InvalidInputError naming
+    the last complete length.
+    """
     tracks, at = sequence_automaton(ABABA, k)
     done = tracks * len(ABABA)
-    seq: list[int] = []
+    max_len = 2 * segment_cap
+    limit = MAX_MEMO_ENTRIES
+    states: list[tuple[int, int, int, int, bool]] = []  # number -> condition state
+    numbers: dict[tuple[int, int, int, int, bool], int] = {}
+    # number -> (letter, next state's number, letters still missing) per
+    # valid extension; None until first asked for
+    steps: list[list[tuple[int, int, int]] | None] = []
 
-    def rec(used: int, num_runs: int, state: int) -> Iterator[tuple[int, ...]]:
-        if len(seq) == length:
-            if used == k:
-                yield tuple(seq)
-            return
-        remaining = length - len(seq)
-        if k - used > remaining:
-            return
+    def number(cond: tuple[int, int, int, int, bool]) -> int:
+        found = numbers.get(cond)
+        if found is None:
+            found = numbers[cond] = len(states)
+            states.append(cond)
+            steps.append(None)
+        return found
+
+    def extensions(i: int) -> list[tuple[int, int, int]]:
+        state, num_runs, used, last, doubled = states[i]
+        out = []
         for x in range(1, min(used + 1, k) + 1):
-            if seq and x == seq[-1]:
-                if len(seq) >= 2 and seq[-2] == x:
+            if x == last:
+                if doubled:
                     continue  # run of 3
                 new_runs = num_runs
             else:
@@ -292,11 +324,40 @@ def _candidates_of_length(length: int, k: int, segment_cap: int) -> Iterator[tup
             moved = state & at[x]
             nxt = state ^ moved | moved << tracks
             if not nxt >> done:
-                seq.append(x)
-                yield from rec(max(used, x), new_runs, nxt)
-                seq.pop()
+                new_used = max(used, x)
+                out.append((x, number((nxt, new_runs, new_used, x, x == last)), k - new_used))
+        steps[i] = out
+        return out
 
-    yield from rec(0, 0, (1 << tracks) - 1)
+    level = [number(((1 << tracks) - 1, 0, 0, 0, False))]
+    length = 0
+    while level and length < max_len:
+        shift = 8 * length
+        letters_mask = (1 << shift) - 1
+        next_shift = shift + 8
+        room = max_len - length - 1  # letters that may still follow the new one
+        keep = room > 0
+        next_level: list[int] = []
+        for prefix in level:
+            i = prefix >> shift
+            head = (prefix & letters_mask) << 8
+            ext = steps[i]
+            if ext is None:
+                ext = extensions(i)
+            for x, j, missing in ext:
+                if missing <= room:
+                    word = head | x
+                    if not missing:
+                        yield tuple(word.to_bytes(length + 1, "big"))
+                    if keep:
+                        next_level.append(j << next_shift | word)
+            if len(next_level) > limit:
+                raise InvalidInputError(
+                    f"more than {limit} prefixes of length {length + 1}; "
+                    f"the candidate stream is complete only through length {length}"
+                )
+        level = next_level
+        length += 1
 
 
 def mnl_seq_candidates(k: int, segment_cap: int) -> Iterator[Sequence]:
@@ -309,14 +370,20 @@ def mnl_seq_candidates(k: int, segment_cap: int) -> Iterator[Sequence]:
     2 * segment_cap length cap).  Emission is in length-then-lexicographic
     order.  This is a superset search tool: emitted sequences are candidates,
     not certified minimally non-linear.
+
+    The words are built level by level, each valid prefix extended once, so
+    the stream holds the prefixes of two lengths at a time.  A level of more
+    than automaton.MAX_MEMO_ENTRIES prefixes, the engines' memory bound,
+    ends the stream with InvalidInputError once every word up to the last
+    complete length, which the message names, has been emitted; some words
+    one letter longer may have been emitted before it.
     """
     if k < 2:
         raise InvalidInputError(f"k must be >= 2, got {k}")
     if segment_cap < 1:
         raise InvalidInputError(f"segment_cap must be >= 1, got {segment_cap}")
-    for length in range(1, 2 * segment_cap + 1):
-        words = _candidates_of_length(length, k, segment_cap)
-        if k == 2 and length == len(ABABA):
-            words = merge(words, [ABABA])  # words avoid ababa, so no ties
-        for word in words:
-            yield Sequence(word)
+    words = _candidate_words(k, segment_cap)
+    if k == 2 and len(ABABA) <= 2 * segment_cap:
+        # the other words avoid ababa, so there are no ties
+        words = merge(words, [ABABA], key=lambda w: (len(w), w))
+    yield from map(Sequence, words)

@@ -11,7 +11,7 @@ reaches boards naive_ex cannot.
 """
 import json
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import comb
 
 from mnl.automaton import completion_table, matrix_automaton
@@ -133,6 +133,24 @@ def naive_seq_ex(v: tuple[int, ...], n: int) -> int:
 
     rec([], 0)
     return best
+
+
+def naive_seq_candidates(k: int, cap: int) -> list[tuple[int, ...]]:
+    """mnl_seq_candidates(k, cap) by brute force: every restricted-growth
+    word of length <= 2 * cap over exactly k letters, runs of length at
+    most 2, at most cap runs and no ababa, plus ababa itself for k = 2,
+    sorted by (length, word)."""
+    ababa = (1, 2, 1, 2, 1)
+    words = [ababa] if k == 2 and len(ababa) <= 2 * cap else []
+    for length in range(1, 2 * cap + 1):
+        for word in product(range(1, k + 1), repeat=length):
+            firsts = list(dict.fromkeys(word))
+            if firsts != list(range(1, k + 1)):
+                continue
+            runs = [len(list(group)) for _, group in groupby(word)]
+            if max(runs) <= 2 and len(runs) <= cap and not naive_seq_contains(word, ababa):
+                words.append(word)
+    return sorted(words, key=lambda w: (len(w), w))
 
 
 def naive_og_contains(h: OrderedGraph, g: OrderedGraph) -> bool:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mnl.cli
+import mnl.sequences
 from mnl.cache import CacheStore
 from mnl.cli import main
 from mnl.ordered_graphs import parse_ordered_graph
@@ -417,6 +418,20 @@ class TestCliBasics:
         assert "abab" in words and "ababa" in words
         for w in words:
             assert str(parse_sequence(w)) == w
+
+    def test_enum_seq_level_cap_ends_the_stream(self, tmp_path, capsys, monkeypatch):
+        _, out, _ = run_cli(capsys, "enum", "seq", "--k", "3", *cache_args(tmp_path))
+        full = [json.loads(line)["sequence"] for line in out.splitlines()]
+        monkeypatch.setattr(mnl.sequences, "MAX_MEMO_ENTRIES", 100)
+        code, out, err = run_cli(capsys, "enum", "seq", "--k", "3", *cache_args(tmp_path))
+        assert code == 1
+        match = re.search(r"complete only through length (\d+)$", err.strip())
+        assert match, err
+        last = int(match.group(1))
+        words = [json.loads(line)["sequence"] for line in out.splitlines()]
+        assert max(map(len, words)) <= last + 1
+        # every word up to the last complete length was printed, in order
+        assert [w for w in words if len(w) <= last] == [w for w in full if len(w) <= last]
 
     def test_enum_k_cap(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "enum", "matrix", "--k", "5", *cache_args(tmp_path))

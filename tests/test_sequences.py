@@ -20,7 +20,7 @@ from mnl.sequences import (
 from mnl.pipeline import seq_count_bound
 from mnl.records import DEFAULT_NODE_BUDGET
 
-from oracles import naive_seq_contains, naive_seq_ex
+from oracles import naive_seq_candidates, naive_seq_contains, naive_seq_ex
 
 S = parse_sequence
 
@@ -53,6 +53,20 @@ class TestSequenceType:
     def test_constructor_rejects_unnormalized(self):
         with pytest.raises(InvalidInputError):
             Sequence((2, 1))
+
+    @pytest.mark.parametrize("letters, message", [
+        ((), "empty sequence"),
+        ((1, 0), "bad symbol 0"),
+        ((1, "a"), "bad symbol 'a'"),
+        ((1, 3), "not normalized: symbol 3 appears before 2"),
+    ])
+    def test_constructor_refusals(self, letters, message):
+        with pytest.raises(InvalidInputError) as info:
+            Sequence(letters)
+        assert str(info.value) == message
+
+    def test_constructor_accepts_repeats_of_the_top_symbol(self):
+        assert Sequence((1, 2, 2, 1, 3, 2)).alphabet_size == 3
 
     def test_normalize_idempotent(self):
         rng = random.Random(3)
@@ -258,6 +272,14 @@ class TestCandidateStream:
     def test_exactly_k_symbols(self):
         for u in mnl_seq_candidates(3, 4):
             assert u.alphabet_size == 3
+
+    @pytest.mark.parametrize("k, cap", [(k, cap) for k in (2, 3) for cap in range(1, 5)] + [(4, 1), (4, 2), (4, 3)])
+    def test_matches_naive_candidates(self, k, cap):
+        assert [u.letters for u in mnl_seq_candidates(k, cap)] == naive_seq_candidates(k, cap)
+
+    @pytest.mark.parametrize("k, cap, count", [(3, 7, 1624), (3, 10, 1880), (4, 6, 1808)])
+    def test_counts_are_pinned(self, k, cap, count):
+        assert sum(1 for _ in mnl_seq_candidates(k, cap)) == count
 
     def test_bad_parameters(self):
         with pytest.raises(InvalidInputError):
