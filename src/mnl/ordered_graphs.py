@@ -12,18 +12,17 @@ candidates are those above the previous image that are adjacent to the
 images of its earlier neighbours.  og_contains first refuses a needle with
 more vertices or edges than the host, then allows needle vertex i only on
 host vertices with at least i's numbers of left and of right neighbours;
-an empty mask refuses at once.  It prepares the last host it saw and a
-bounded set of needles once, as immutable tuples, so the pipeline's run of
-one graph against every known family member builds the host's adjacency
-once.  The exact search og_ex_exact adds edges in lexicographic order, so
-a new copy of g must map g's last left endpoint L and L's last right
-neighbour B onto the new edge (u, v).  Each step runs _place on the
-needle preparation og_contains uses, with L's mask set to u, B's to v,
-and the masks of their other neighbours cut to board neighbours of u and
-of v.
-It bounds the rest of the board by exact extremal values on the smaller
-boards the last rows induce, solved first in the same call (the bootstrap
-used for exact Zarankiewicz numbers).
+an empty mask refuses at once.  Each graph builds these forms once, from
+one pass over its edges, and keeps them on itself.
+
+The exact search og_ex_exact adds edges in lexicographic order, so a new
+copy of g must map g's last left endpoint L and L's last right neighbour
+B onto the new edge (u, v).  Each step runs _place on the needle form
+og_contains uses, with L's mask set to u, B's to v, and the masks of
+their other neighbours cut to board neighbours of u and of v.  It bounds
+the rest of the board by exact extremal values on the smaller boards the
+last rows induce, solved first in the same call (the bootstrap used for
+exact Zarankiewicz numbers).
 
 A g whose edges all run from 1..a to a+1..k, with vertices a and a+1 on
 edges, is searched vertex by vertex instead, as a matrix problem (Pach and
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, partial
 from itertools import combinations
 from math import comb
 
@@ -74,14 +73,49 @@ class OrderedGraph:
             if not (1 <= u < v <= self.num_vertices):
                 raise InvalidInputError(f"bad edge {e} for n={self.num_vertices}")
 
+    @cached_property
+    def _forms(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, int, int], ...]]:
+        """(adj, below, sides), from one pass over the edges: bit y of
+        adj[x] is set iff x and y are adjacent, below[b] lists the left
+        neighbours of b, and sides holds (i, numbers of left and of right
+        neighbours of i) for i = 1..n."""
+        n = self.num_vertices
+        adj = [0] * (n + 1)
+        below: list[list[int]] = [[] for _ in range(n + 1)]
+        right = [0] * (n + 1)
+        for u, v in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            below[v].append(u)
+            right[u] += 1
+        sides = tuple((i, len(below[i]), right[i]) for i in range(1, n + 1))
+        return tuple(adj), tuple(map(tuple, below)), sides
+
+    @cached_property
+    def _at_least(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(at_left, at_right) of og_contains's host: at_left[d] has bit x
+        set iff x has at least d left neighbours, for d < n, and at_right
+        likewise."""
+        n, sides = self.num_vertices, self._forms[2]
+        return tuple(
+            tuple(sum(1 << x for x, *counts in sides if counts[side] >= d) for d in range(n))
+            for side in (0, 1)
+        )
+
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self.neighbors(v))
 
     def neighbors(self, v: int) -> set[int]:
-        return {u + w - v for u, w in self.edges if v in (u, w)}
+        n = self.num_vertices
+        adj = self._forms[0][v] if 1 <= v <= n else 0
+        return {w for w in range(1, n + 1) if adj >> w & 1}
+
+    @cached_property
+    def _text(self) -> str:
+        return format_ordered_graph(self).rstrip("\n").replace("\n", ";")
 
     def __str__(self) -> str:
-        return format_ordered_graph(self).rstrip("\n").replace("\n", ";")
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -142,15 +176,6 @@ def og_key(g: OrderedGraph) -> str:
 # containment
 # ---------------------------------------------------------------------------
 
-def _adjacency(n: int, edges) -> list[int]:
-    """adj[x] has bit y set iff x and y are adjacent (vertices 1..n)."""
-    adj = [0] * (n + 1)
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 def _place(
     adj: Sequence[int], mask: list[int], below: Sequence[Sequence[int]], k: int
 ) -> bool:
@@ -184,62 +209,23 @@ def _place(
             cand = untried[i]
 
 
-def _side_degrees(n: int, edges) -> tuple[list[int], list[int]]:
-    """Per vertex 1..n, its numbers of left and of right neighbours."""
-    left, right = [0] * (n + 1), [0] * (n + 1)
-    for u, v in edges:
-        right[u] += 1
-        left[v] += 1
-    return left, right
-
-
-@lru_cache(maxsize=1)
-def _host(h: OrderedGraph) -> tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(vertices, edges, adjacency, at_left, at_right) of an n-vertex host:
-    at_left[d] has bit x set iff x has at least d left neighbours, for
-    d < n, and at_right likewise.  One entry: the pipeline asks about one
-    host many times in a row."""
-    n = h.num_vertices
-    left, right = _side_degrees(n, h.edges)
-
-    def at_least(degree: list[int]) -> tuple[int, ...]:
-        return tuple(
-            sum(1 << x for x in range(1, n + 1) if degree[x] >= d) for d in range(n)
-        )
-
-    return n, len(h.edges), tuple(_adjacency(n, h.edges)), at_least(left), at_least(right)
-
-
-@lru_cache(maxsize=256)
-def _needle(
-    g: OrderedGraph,
-) -> tuple[int, int, tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...]]:
-    """(vertices, edges, degrees, below) of a needle: degrees lists (i,
-    left neighbours of i, right neighbours of i) for i = 1..k, and below[b]
-    the left neighbours of b.  Room for the known family members and more."""
-    k = g.num_vertices
-    left, right = _side_degrees(k, g.edges)
-    below: list[list[int]] = [[] for _ in range(k + 1)]
-    for a, b in g.edges:
-        below[b].append(a)
-    degrees = tuple((i, left[i], right[i]) for i in range(1, k + 1))
-    return k, len(g.edges), degrees, tuple(map(tuple, below))
-
-
 def og_contains(h: OrderedGraph, g: OrderedGraph) -> bool:
     """True iff h has a subgraph order-isomorphic to g (extra edges allowed).
 
     Screens first: g may not have more vertices or edges than h, and g's
     vertex i may only go to host vertices with at least as many left
     neighbours and as many right neighbours as i, since a copy sends i's
-    left and right neighbours to distinct host vertices on the same sides."""
-    k, size, degrees, below = _needle(g)
-    n, edges, adj, at_left, at_right = _host(h)
-    if k > n or size > edges:
+    left and right neighbours to distinct host vertices on the same sides.
+    Both graphs' forms are built on first use and kept on them."""
+    k, n = g.num_vertices, h.num_vertices
+    if k > n or len(g.edges) > len(h.edges):
         return False
+    _, below, sides = g._forms
+    adj = h._forms[0]
+    at_left, at_right = h._at_least
     span = (2 << (n - k)) - 1
     mask = [0]
-    for i, left, right in degrees:  # left, right < k <= n
+    for i, left, right in sides:  # left, right < k <= n
         allowed = span << i & at_left[left] & at_right[right]
         if not allowed:
             return False
@@ -260,7 +246,7 @@ def _og_search(
     The stack of included slots is explicit, so the depth is not limited
     by Python's recursion limit.  Returns (best, nodes), or raises
     BudgetExhausted(best, nodes) when the budget runs out first."""
-    k, _, _, below = _needle(g)
+    k, below = g.num_vertices, g._forms[1]
     # the pins of og_ex_exact's docstring: a new copy maps left to u, right to v
     left = max(a for a, _ in g.edges)
     right = max(b for a, b in g.edges if a == left)
@@ -393,13 +379,14 @@ def og_ex_exact(
     BudgetExhausted, which ends the call with an inexact record; what it
     found is only a lower bound and never becomes a ceiling.  The record
     names a board on n vertices: the sub-search's best when m = n or when
-    g's last vertex has an edge (Start, below), else 0.
+    g's first or last vertex has an edge (Start, below), else 0.
 
     Start: when g's last vertex has an edge, a g-free board with an
     isolated vertex appended is still g-free, since only g's last vertex
-    could land on it.  Then each search starts from the best board on one
-    vertex fewer, and a budget overrun before the last search still
-    reports a board that exists on n vertices.
+    could land on it; likewise a prepended one when g's first vertex has
+    an edge.  Then each search starts from the best board on one vertex
+    fewer, and a budget overrun before the last search still reports a
+    board that exists on n vertices.
 
     Two intervals: when every g-edge runs from 1..a to a+1..k and vertices
     a and a+1 both lie on edges (interval_chromatic(g) == 2, split where
@@ -445,7 +432,7 @@ def og_ex_exact(
     if not g.edges:
         raise InvalidInputError("forbidden graph needs at least one edge")
     k = g.num_vertices
-    grows = max(b for _, b in g.edges) == k  # g's last vertex has an edge
+    grows = g.degree(1) > 0 or g.degree(k) > 0  # an isolated vertex pads a board (Start)
     a = _two_interval_split(g, n)
 
     def search(budget: int) -> tuple[int, int]:
@@ -482,7 +469,7 @@ def interval_chromatic(g: OrderedGraph) -> int:
     count = 1
     interval_start = 1
     for v in range(2, g.num_vertices + 1):
-        if any(w == v and u >= interval_start for u, w in g.edges):
+        if any(u >= interval_start for u in g._forms[1][v]):
             count += 1
             interval_start = v
     return count
@@ -518,7 +505,7 @@ def _realizations(g: OrderedGraph, variants: frozenset[Pattern01]) -> list[Bipar
     of vertex 1 that holds vertex 1 is fixed, and every other component
     goes either way round."""
     n = g.num_vertices
-    adj = _adjacency(n, g.edges)
+    adj = g._forms[0]
     sides: list[list[int]] = []  # per component: [root's side, other side]
     unseen = (2 << n) - 2  # bits 1..n
     while unseen:

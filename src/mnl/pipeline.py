@@ -28,7 +28,6 @@ from .errors import InvalidInputError
 from .ordered_graphs import (
     Bipartition,
     OrderedGraph,
-    check_bipartition,
     go_family,
     og_bipartite_reduce,
     og_contains,
@@ -398,8 +397,8 @@ def _q_family() -> frozenset[OrderedGraph]:
 
 def og_structural_filter(g: OrderedGraph, parts: Bipartition) -> CandidateReport:
     """Ordered-graph analogue of structural_filter for a bipartite graph with
-    a chosen bipartition."""
-    check_bipartition(g, parts)
+    a chosen bipartition.  A bad bipartition raises InvalidInputError from
+    og_bipartite_reduce's check_bipartition."""
     checks: list[FilterCheck] = []
     small = min(len(parts.part_u), len(parts.part_v))
     large = max(len(parts.part_u), len(parts.part_v))
@@ -481,7 +480,7 @@ def enumerate_og_candidates(
     which positions hold rows, and its uniqueness test takes the whole
     orbit.  So only an orbit's first candidate is expanded; every graph a
     later member would give is already seen."""
-    seen: set[OrderedGraph] = set()
+    seen: set[str] = set()  # texts, so each graph is freed with its report
     expanded: set[str] = set()
     for report in enumerate_candidates(k, col_min, col_max):
         p = report.pattern
@@ -491,9 +490,9 @@ def enumerate_og_candidates(
             continue
         expanded.add(orbit)
         for g in sorted(go_family(p), key=str):
-            if g in seen:
+            if str(g) in seen:
                 continue
-            seen.add(g)
+            seen.add(str(g))
             parts = realizing_bipartitions(g, p)[0]
             og_report = og_structural_filter(g, parts)
             if og_report.verdict != "rejected":

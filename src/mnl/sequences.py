@@ -101,9 +101,12 @@ def parse_sequence(text: str) -> Sequence:
     return Sequence.normalized(letters)
 
 
+_LETTERS = bytes.maketrans(bytes(range(1, 27)), b"abcdefghijklmnopqrstuvwxyz")
+
+
 def format_sequence(u: Sequence) -> str:
     if u.alphabet_size <= 26:
-        return "".join(chr(96 + x) for x in u.letters)
+        return bytes(u.letters).translate(_LETTERS).decode()
     return ",".join(str(x) for x in u.letters)
 
 

@@ -135,22 +135,25 @@ def test_sub_search_overrun_is_never_exact(g, n, data):
 
 
 def test_sub_search_overrun_reports_a_board_on_n_vertices():
-    # a board on m < n vertices proves nothing about n when g's last vertex
-    # is isolated, since an appended vertex could complete a copy
-    for text, n, before_last in (("n=5;1 3;2 4", 7, 31), ("n=3;1 2", 6, 28)):
-        g = G(text)
-        assert og_ex_exact(n - 1, g).nodes_explored == before_last
-        for budget in range(before_last):
-            rec = og_ex_exact(n, g, node_budget=budget)
-            assert not rec.exact and rec.value == 0, (text, budget)
-    # when it has an edge, the best board on m vertices plus isolated
-    # vertices stands, so each finished sub-board's value is kept
-    g = G("n=4;1 3;2 4")
-    finished = [og_ex_exact(m, g) for m in range(4, 7)]
-    for budget in range(finished[-1].nodes_explored):
+    # a board on m < n vertices proves nothing about n when g's first and
+    # last vertices are isolated, since a vertex added at either end could
+    # complete a copy
+    g = G("n=5;2 4")
+    before_last = og_ex_exact(6, g).nodes_explored
+    assert before_last == 57
+    for budget in range(before_last):
         rec = og_ex_exact(7, g, node_budget=budget)
-        kept = [r.value for r in finished if r.nodes_explored <= budget]
-        assert not rec.exact and rec.value >= max(kept, default=0), budget
+        assert not rec.exact and rec.value == 0, budget
+    # when its first or last vertex has an edge, the best board on m
+    # vertices plus isolated vertices at that end stands, so each finished
+    # sub-board's value is kept
+    for text, n in (("n=4;1 3;2 4", 7), ("n=5;1 3;2 4", 7), ("n=3;1 2", 6)):
+        g = G(text)
+        finished = [og_ex_exact(m, g) for m in range(g.num_vertices, n)]
+        for budget in range(finished[-1].nodes_explored):
+            rec = og_ex_exact(n, g, node_budget=budget)
+            kept = [r.value for r in finished if r.nodes_explored <= budget]
+            assert not rec.exact and rec.value >= max(kept, default=0), (text, budget)
 
 
 def test_vertex_search_tables_built_once_per_call(monkeypatch):

@@ -106,6 +106,37 @@ class TestContains:
                     assert og_contains(g, weaker)
 
 
+@st.composite
+def small_graphs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    slots = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.sets(st.sampled_from(slots))) if slots else set()
+    return OrderedGraph(n, frozenset(edges))
+
+
+class TestForms:
+    """The adjacency forms each graph builds once and keeps on itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), small_graphs(max_n=5))
+    def test_forms_match_edge_scans(self, h, g):
+        for v in range(-1, h.num_vertices + 2):  # out-of-range v has no neighbours
+            scan = {u + w - v for u, w in h.edges if v in (u, w)}
+            assert h.neighbors(v) == scan
+            assert h.degree(v) == len(scan)
+        # each graph in both roles, its forms built before or during the call
+        assert og_contains(h, g) == naive_og_contains(h, g)
+        assert og_contains(g, h) == naive_og_contains(g, h)
+
+    def test_equal_graphs_with_and_without_forms(self):
+        built, fresh = G("n=5;1 3;2 4;2 5"), G("n=5;2 5;1 3;2 4")
+        assert og_contains(built, G("n=4;1 3;2 4")) and str(built) and built.degree(2) == 2
+        assert built == fresh and hash(built) == hash(fresh)
+        assert len({built, fresh}) == 1
+        assert {"_forms", "_at_least", "_text"} <= set(built.__dict__)
+        assert set(fresh.__dict__) == {"num_vertices", "edges"}
+
+
 class TestOgEx:
     def test_single_edge_always_zero(self):
         single = G("n=2;1 2")

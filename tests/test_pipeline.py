@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from functools import cache
 from itertools import product
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mnl.errors import InvalidInputError
 from mnl.ordered_graphs import (
     Bipartition,
+    check_bipartition,
     go_family,
     parse_ordered_graph,
     realizing_bipartitions,
@@ -364,6 +366,15 @@ class TestOgStructuralFilter:
             og_structural_filter(
                 G("n=3;1 2"), Bipartition(frozenset({1, 2}), frozenset({3}))
             )
+
+    def test_bad_bipartition_raises_the_check_message(self):
+        g = G("n=4;1 3;2 4")
+        for u, v in (({1, 2}, {2, 3, 4}), ({1, 2}, {3}), ({1, 3}, {2, 4})):
+            parts = Bipartition(frozenset(u), frozenset(v))
+            with pytest.raises(InvalidInputError) as expected:
+                check_bipartition(g, parts)
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(str(expected.value))}$"):
+                og_structural_filter(g, parts)
 
     def test_containment_detail_matches_oracle(self):
         # every realization of the k=3, 2..3-column candidates: the report
