@@ -24,6 +24,8 @@ MAX_TABLE_ENTRIES before allocating anything.
 
 track_search is the memoized search over such tracks that the matrix
 engine and the ordered-graph vertex search share, each with its own tables.
+Its docstring states the fail-low memo rules, which the sequence engine's
+own search (sequences.seq_ex_exact) follows too.
 """
 from __future__ import annotations
 

@@ -449,7 +449,11 @@ def og_structural_filter(g: OrderedGraph, parts: Bipartition) -> CandidateReport
             FilterCheck("bipartite-reduction", "fail", f"vertex {heavy[0]} keeps several neighbors after reduction")
         )
 
-    hit = next((m for m in _known_og_members() if m != g and og_contains(g, m)), None)
+    known = _known_og_members()
+    is_known = g in known
+    # only a known member needs the others told from itself
+    others = (m for m in known if m != g) if is_known else known
+    hit = next((m for m in others if og_contains(g, m)), None)
     checks.append(
         FilterCheck(
             "strict-known-containment",
@@ -460,7 +464,7 @@ def og_structural_filter(g: OrderedGraph, parts: Bipartition) -> CandidateReport
 
     if any(ch.status == "fail" for ch in checks):
         verdict = "rejected"
-    elif g in _known_og_members():
+    elif is_known:
         verdict = "known-mnl"
     else:
         verdict = "structural-candidate"

@@ -12,7 +12,12 @@ mnl.automaton: one track per injective map of the needle's symbols into the
 board's, all of them packed into one int and stepped together, a copy found
 as soon as one track matches the whole needle.  The exact search memoizes
 the longest continuation of a word on what decides it: the track state, the
-last r-1 letters and the largest symbol used.  The candidate stream grows
+last r-1 letters and the largest symbol used.  Once a track is one letter
+short of a copy, the symbol that would complete it is dead for good, so a
+word's continuation is at most Ex(u, L) long, L the symbols still live; the
+search solves the boards on fewer symbols first for these ceilings, and its
+memo keeps the bounds that cut subtrees give apart from exact values, under
+automaton.track_search's fail-low rules.  The candidate stream grows
 its words level by level, all valid prefixes of one length at a time, and
 steps each prefix once; it holds two levels, and ends with
 InvalidInputError rather than hold one of more than MAX_MEMO_ENTRIES
@@ -174,43 +179,81 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     checked only once r-1 letters are placed, so a shorter word may repeat
     a letter.
 
-    The longest continuation of a word depends only on its track state, its
-    window code (the last r-1 letters as base-(n+1) digits, or the whole
-    word while it is shorter) and its largest symbol, so it is memoized on
-    one int packing the three (the state without its field 0, which the
-    other fields determine).  A memo hit costs no node and raises the best
-    length to the word's length plus its continuation, a word the search has
-    seen.  A continuation whose search took at most n nodes is not kept:
-    redoing it costs at most n nodes, and few are asked for again (on
-    abcacbc at n=5, 139 of 11,243 were).  The memo is capped in two
-    generations as automaton.track_search's is, so a value dropped is
-    recomputed and the result stays exact.
+    Dead symbols: a track in field m-1 (m = |u|) has matched all of u but
+    its last letter, so the symbol x it maps that letter to would complete
+    the copy (top & kill[x], top the tracks in field m-1 and kill[x] those
+    mapping u's last letter to x).  A track never leaves field m-1, so x
+    can never be appended again.  Dead symbols are counted only when some
+    track is in field m-1.
+
+    Ceiling: the continuation of a word is itself a word whose r-windows
+    are distinct and which avoids u, over the L symbols not dead, so it is
+    at most Ex(u, L) letters long.  The boards L = 1..n-1 are solved first,
+    smallest first, in the same call and on the same node budget, each
+    with the ceilings of the smaller ones, as og_ex_exact solves its
+    smaller boards; a word whose length plus Ex(u, L) cannot beat the best
+    length found returns Ex(u, L) as a bound.  A word over L < n symbols
+    is also one over n, so each board starts from the last one's value,
+    and a board that runs out of budget raises BudgetExhausted with its
+    best, a real lower bound, and the call's nodes; that value never
+    becomes a ceiling.  The n-symbol board's table-size check runs before
+    any board is searched, so an oversized board is refused at once.
+
+    Memo: the longest continuation of a word depends only on its track
+    state, its window code (the last r-1 letters as base-(s+1) digits on
+    a board of s symbols, or the whole word while it is shorter) and its
+    largest symbol, so it is memoized on one int packing the three (the
+    state without its field 0, which the other fields determine).  A cut
+    subtree gives only an upper bound, so an entry is value << 1 | exact,
+    under the fail-low rules that automaton.track_search's docstring
+    states: a bound-only entry answers only a visit it cannot beat, and
+    the best length is raised only from exact values.  A memo hit costs no
+    node.  A continuation whose search took at most s nodes is not kept:
+    redoing it costs at most s nodes, and few are asked for again (on
+    abcacbc at n=5, before the ceilings, 139 of 11,243 were).  Each
+    board's memo is capped in two generations as track_search's is, so a
+    value dropped is recomputed and the result stays exact.
     """
     r = u.alphabet_size
     m = len(u.letters)
 
-    def search(budget: int) -> tuple[int, int]:
-        tracks, at = sequence_automaton(u.letters, n)
+    def solve(size: int, tables: tuple[int, list[int]], ceiling: list[int],
+              best: int, budget: int) -> tuple[int, int]:
+        """(Ex(u, size), nodes) from a word of length best that exists,
+        ceiling[L] = Ex(u, L) for every L < size."""
+        tracks, at = tables
         done = tracks * m  # a state with a bit from here up holds a copy of u
-        span = (n + 1) ** (r - 1)  # window codes lie below span
-        sym_bits = n.bit_length()
+        last = done - tracks  # field m-1, one letter short of a copy
+        full = (1 << tracks) - 1
+        kill = [step >> last & full for step in at[1:]]  # tracks x would complete
+        span = (size + 1) ** (r - 1)  # window codes lie below span
+        sym_bits = size.bit_length()
         state_shift = sym_bits + (span - 1).bit_length()
         # the key leaves out field 0, which the other fields determine
         capacity = memo_capacity(state_shift + done - tracks)
         # two generations of at most capacity // 2 entries each; a full newer
-        # one becomes the older, and an older entry looked up moves back
+        # one becomes the older, and an older entry looked up moves back;
+        # an entry is value << 1 | exact
         memo: dict[int, int] = {}
         older: dict[int, int] = {}
-        best = nodes = 0
+        nodes = 0
         seq: list[int] = []
 
         def rec(state: int, code: int, max_sym: int) -> int:
+            """The longest continuation of seq: exact when above alpha =
+            best - len(seq) at the call, otherwise an upper bound no larger
+            than alpha."""
             nonlocal best, nodes, memo, older
             length = len(seq)
+            top = state >> last
+            if top:
+                live = [top & dead for dead in kill].count(0)
+                if length + ceiling[live] <= best:
+                    return ceiling[live]
             recent = seq[length - (r - 1):] if length >= r - 1 else ()
-            blocked = recent if len(set(recent)) == len(recent) else range(1, n + 1)
+            blocked = recent if len(set(recent)) == len(recent) else range(1, size + 1)
             longest = 0
-            for x in range(1, min(max_sym + 1, n) + 1):
+            for x in range(1, min(max_sym + 1, size) + 1):
                 if nodes >= budget:
                     raise BudgetExhausted(best, nodes)
                 nodes += 1
@@ -220,35 +263,56 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
                 nxt = state ^ moved | moved << tracks
                 if nxt >> done:
                     continue
-                nxt_code = (code * (n + 1) + x) % span
+                if best == length:
+                    best += 1  # seq + [x] is a word
+                cut = best - length - 1  # a continuation beats best iff longer
+                nxt_code = (code * (size + 1) + x) % span
                 nxt_max = max_sym if x <= max_sym else x
                 key = nxt >> tracks << state_shift | nxt_code << sym_bits | nxt_max
-                value = memo.get(key)
-                if value is None:
-                    value = older.get(key)
-                    keep = True
-                    if value is None:
-                        seq.append(x)
-                        best = max(best, length + 1)
-                        before = nodes
-                        value = rec(nxt, nxt_code, nxt_max)
-                        seq.pop()
-                        keep = nodes - before > n  # cheap subtrees are redone
-                    if keep:
-                        if len(memo) >= capacity // 2:
-                            older, memo = memo, {}
-                        memo[key] = value
-                best = max(best, length + 1 + value)
-                longest = max(longest, value + 1)
+                entry = memo.get(key)
+                keep = entry is None  # an older entry moves back
+                if keep:
+                    entry = older.get(key)
+                # a bound-only entry answers only a visit it cannot beat
+                if entry is None or not entry & 1 and entry >> 1 > cut:
+                    seq.append(x)
+                    before = nodes
+                    value = rec(nxt, nxt_code, nxt_max)
+                    seq.pop()
+                    entry = value << 1 | (value > cut)
+                    keep = nodes - before > size  # cheap subtrees are redone
+                if keep:
+                    if len(memo) >= capacity // 2:
+                        older, memo = memo, {}
+                    memo[key] = entry
+                value = entry >> 1
+                if value > cut:  # only an exact value comes back above cut
+                    best = length + 1 + value
+                if value >= longest:
+                    longest = value + 1
             return longest
 
         try:
-            rec((1 << tracks) - 1, 0, 0)
+            rec(full, 0, 0)
         finally:
             # rec and the memo form a cycle; free the memo now
             memo.clear()
             older.clear()
         return best, nodes
+
+    def search(budget: int) -> tuple[int, int]:
+        largest = sequence_automaton(u.letters, n)  # refuses an oversized board first
+        ceiling = [0] * (n + 1)  # ceiling[L] = Ex(u, L) once board L is solved
+        nodes = 0
+        for size in range(1, n + 1):
+            tables = largest if size == n else sequence_automaton(u.letters, size)
+            try:
+                ceiling[size], used = solve(size, tables, ceiling, ceiling[size - 1], budget - nodes)
+            except BudgetExhausted as stop:
+                value, used = stop.args
+                raise BudgetExhausted(value, nodes + used) from None
+            nodes += used
+        return ceiling[n], nodes
 
     return run_search("sequence", format_sequence(u), n, node_budget, search)
 

@@ -4,7 +4,7 @@ import tracemalloc
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mnl.automaton import (
     DEAD,
@@ -172,6 +172,32 @@ def test_seq_ex_exact_matches_naive_seq_ex(letters, n):
     assert rec.exact and rec.value == naive_seq_ex(u.letters, n)
 
 
+@st.composite
+def needles(draw):
+    """A normalized needle on r = 2..4 letters and at most 7 positions: the
+    r letters in some order with up to three more put in."""
+    r = draw(st.integers(2, 4))
+    letters = list(draw(st.permutations(range(1, r + 1))))
+    for at, x in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(1, r)), max_size=3)):
+        letters.insert(at, x)
+    return tuple(letters)
+
+
+@SEARCH
+@given(needles(), st.integers(1, 4))
+@example((1, 2, 1, 2, 3), 4)  # u's last letter occurs once in u
+@example((1, 2, 3, 2, 1, 4), 4)
+@example((1, 2, 3, 1, 3, 2, 3), 2)  # n < r: only words shorter than r
+@example((1, 2, 3, 4, 1), 3)
+def test_seq_ex_exact_on_two_to_four_letters_matches_naive_seq_ex(letters, n):
+    # the dead-symbol ceilings come from the boards on 1..n-1 symbols; the
+    # letter counts are capped as in the test above, for the oracle's sake
+    assume(max(map(letters.count, letters)) <= (2 if n == 4 else 3))
+    u = Sequence.normalized(letters)
+    rec = seq_ex_exact(u, n)
+    assert rec.exact and rec.value == naive_seq_ex(u.letters, n)
+
+
 @pytest.fixture
 def capped_address_space():
     """Run the body under a 512 MB address-space cap, so a broken size check
@@ -211,6 +237,13 @@ def test_large_board_refused(refused_without_allocating):
 def test_large_alphabet_refused(refused_without_allocating):
     with pytest.raises(InvalidInputError, match="table entries"):
         seq_ex_exact(parse_sequence("abcacbc"), 1000)
+
+
+def test_large_alphabet_refused_before_any_smaller_board_is_searched(refused_without_allocating):
+    # the boards on fewer symbols come first in the search, and a budget of
+    # 100 would end there with a record instead of the refusal
+    with pytest.raises(InvalidInputError, match="table entries"):
+        seq_ex_exact(parse_sequence("abcacbc"), 1000, node_budget=100)
 
 
 def test_cli_large_board_exits_1(tmp_path, capsys, refused_without_allocating):

@@ -208,6 +208,23 @@ class TestSeqEx:
         assert not rec.exact
         assert rec.value <= 8
 
+    @pytest.mark.parametrize("text", ["ababa", "abcacbc"])
+    def test_budget_run_out_in_a_smaller_board(self, text):
+        # the boards on 1..n-1 symbols are searched first, in the same call,
+        # each exactly as in a call on that many symbols
+        u, n = S(text), 4
+        smaller = [seq_ex_exact(u, size) for size in range(1, n)]
+        full = seq_ex_exact(u, n)
+        assert full.exact and all(rec.exact for rec in smaller)
+        assert smaller[-1].nodes_explored < full.nodes_explored
+        for budget in range(full.nodes_explored):
+            rec = seq_ex_exact(u, n, budget)
+            assert not rec.exact and rec.nodes_explored <= budget
+            # the value is a word over at most n symbols, at least as long as
+            # the longest on the last smaller board that finished
+            finished = [s.value for s in smaller if s.nodes_explored <= budget]
+            assert max(finished, default=0) <= rec.value <= full.value
+
     def test_record_fields(self):
         rec = seq_ex_exact(S("abab"), 2)
         assert rec.kind == "sequence"
