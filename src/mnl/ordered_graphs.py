@@ -13,7 +13,19 @@ images of its earlier neighbours.  og_contains first refuses a needle with
 more vertices or edges than the host, then allows needle vertex i only on
 host vertices with at least i's numbers of left and of right neighbours;
 an empty mask refuses at once.  Each graph builds these forms once, from
-one pass over its edges, and keeps them on itself.
+one pass over its edges, and keeps them on itself.  A NeedleTable runs
+that screen for a whole set of needles at once: one bitset of needles per
+size and one per distinct vertex demand (k, i, left, right), so a host
+clears every needle a demand refuses with one AND, and only the needles
+left need a placement.
+
+A graph's bipartite realizations of a 0-1 pattern p come from 2-colouring
+each component once; a colouring's matrix is keyed, like p's 8 dihedral
+images (patterns.symmetry_keys), by its dimensions and column masks, read
+off the adjacency bitmasks, so no Pattern01 is built per colouring.  When
+p's own bipartite graph is connected, every member of go_family(p) has a
+single 2-colouring, which realizes p, so go_family keeps them all without
+the test (its docstring has the proof).
 
 The exact search og_ex_exact adds edges in lexicographic order, so a new
 copy of g must map g's last left endpoint L and L's last right neighbour
@@ -39,7 +51,7 @@ variant (used for cache keys and tsv cells).
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations
@@ -56,7 +68,7 @@ from .automaton import (
 )
 from .errors import InvalidInputError, InvalidTransformationError
 # canonical_key is not called here; perfbench's traced run rebinds it on this module.
-from .patterns import Pattern01, canonical_key, symmetry_variants  # noqa: F401
+from .patterns import MatrixKey, Pattern01, canonical_key, symmetry_keys  # noqa: F401
 from .records import DEFAULT_NODE_BUDGET, BudgetExhausted, ExRecord, run_search
 
 
@@ -96,14 +108,18 @@ class OrderedGraph:
         """(at_left, at_right) of og_contains's host: at_left[d] has bit x
         set iff x has at least d left neighbours, for d < n, and at_right
         likewise."""
-        n, sides = self.num_vertices, self._forms[2]
-        return tuple(
-            tuple(sum(1 << x for x, *counts in sides if counts[side] >= d) for d in range(n))
-            for side in (0, 1)
-        )
+        n = self.num_vertices
+        at_left, at_right = [0] * (n + 1), [0] * (n + 1)
+        for x, left, right in self._forms[2]:  # left, right < n
+            at_left[left] |= 1 << x
+            at_right[right] |= 1 << x
+        for d in range(n - 1, -1, -1):  # at least d: exactly d, or at least d+1
+            at_left[d] |= at_left[d + 1]
+            at_right[d] |= at_right[d + 1]
+        return tuple(at_left[:n]), tuple(at_right[:n])
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return self._forms[0][v].bit_count() if 1 <= v <= self.num_vertices else 0
 
     def neighbors(self, v: int) -> set[int]:
         n = self.num_vertices
@@ -212,11 +228,19 @@ def _place(
 def og_contains(h: OrderedGraph, g: OrderedGraph) -> bool:
     """True iff h has a subgraph order-isomorphic to g (extra edges allowed).
 
-    Screens first: g may not have more vertices or edges than h, and g's
-    vertex i may only go to host vertices with at least as many left
-    neighbours and as many right neighbours as i, since a copy sends i's
-    left and right neighbours to distinct host vertices on the same sides.
-    Both graphs' forms are built on first use and kept on them."""
+    Screens first: g may not have more vertices or edges than h, and then
+    the room rule, which NeedleTable.screen applies too, bounds where each
+    vertex of g may go.  With n = |V(h)| and k = |V(g)| <= n, vertex i of
+    g, with left left and right right neighbours, may only take the host
+    positions
+
+        ((2 << (n - k)) - 1) << i & at_left[left] & at_right[right]
+
+    (h._at_least): i..i+n-k, which leave room for g's other vertices on
+    either side, among the host vertices with at least left left and right
+    right neighbours, since a copy sends i's neighbours to distinct host
+    vertices on the same sides.  Both graphs' forms are built on first use
+    and kept on them."""
     k, n = g.num_vertices, h.num_vertices
     if k > n or len(g.edges) > len(h.edges):
         return False
@@ -226,11 +250,56 @@ def og_contains(h: OrderedGraph, g: OrderedGraph) -> bool:
     span = (2 << (n - k)) - 1
     mask = [0]
     for i, left, right in sides:  # left, right < k <= n
-        allowed = span << i & at_left[left] & at_right[right]
+        allowed = span << i & at_left[left] & at_right[right]  # the room rule
         if not allowed:
             return False
         mask.append(allowed)
     return _place(adj, mask, below, k)
+
+
+class NeedleTable:
+    """A fixed tuple of needles, screened against a host all at once by
+    og_contains's own screen.
+
+    members keeps the needles in the order given, and position maps each to
+    its index j, its bit 1 << j in every bitset here.  sizes holds, per
+    (vertices, edges) size, the bitset of members of that size, and demands,
+    per (k, i, left, right) that some member with k vertices makes of its
+    vertex i with left left and right right neighbours, the bitset of the
+    members that make it.  Members that share a demand share its room in a
+    host, so each distinct demand is checked once."""
+
+    def __init__(self, needles: Iterable[OrderedGraph]) -> None:
+        self.members = tuple(needles)
+        self.position = {g: j for j, g in enumerate(self.members)}
+        sizes: dict[tuple[int, int], int] = {}
+        demands: dict[tuple[int, int, int, int], int] = {}
+        for j, g in enumerate(self.members):
+            size = g.num_vertices, len(g.edges)
+            sizes[size] = sizes.get(size, 0) | 1 << j
+            for side in g._forms[2]:
+                demand = (g.num_vertices, *side)
+                demands[demand] = demands.get(demand, 0) | 1 << j
+        self.sizes = tuple((*size, bits) for size, bits in sizes.items())
+        self.demands = tuple((*demand, bits) for demand, bits in demands.items())
+
+    def screen(self, h: OrderedGraph) -> int:
+        """The bitset of the members og_contains(h, member) does not refuse
+        before it places a vertex: those no larger than h in vertices and
+        in edges, less every member with a demand that og_contains's room
+        rule leaves no host position.  A member with k > n is gone before
+        its demands are read, so the rule's n - k is never negative."""
+        n, e = h.num_vertices, len(h.edges)
+        live = 0
+        for k, count, bits in self.sizes:
+            if k <= n and count <= e:
+                live |= bits
+        at_left, at_right = h._at_least
+        for k, i, left, right, bits in self.demands:
+            # og_contains's room rule
+            if live & bits and not ((2 << (n - k)) - 1) << i & at_left[left] & at_right[right]:
+                live &= ~bits
+        return live
 
 
 # ---------------------------------------------------------------------------
@@ -479,31 +548,19 @@ def interval_chromatic(g: OrderedGraph) -> int:
 # bipartite realizations of a 0-1 pattern
 # ---------------------------------------------------------------------------
 
-def _matrix_of_bipartition(
-    g: OrderedGraph, part_a: tuple[int, ...], part_b: tuple[int, ...]
-) -> Pattern01:
-    """0-1 matrix with rows = part_a and columns = part_b in increasing
-    vertex order, ones at edges."""
-    row_of = {v: i + 1 for i, v in enumerate(part_a)}
-    col_of = {v: j + 1 for j, v in enumerate(part_b)}
-    ones = set()
-    for u, v in g.edges:
-        if u in row_of:
-            ones.add((row_of[u], col_of[v]))
-        else:
-            ones.add((row_of[v], col_of[u]))
-    return Pattern01(len(part_a), len(part_b), frozenset(ones))
-
-
-def _realizations(g: OrderedGraph, variants: frozenset[Pattern01]) -> list[Bipartition]:
-    """realizing_bipartitions against a precomputed symmetry orbit.
+def _realizations(g: OrderedGraph, orbit: frozenset[MatrixKey]) -> list[Bipartition]:
+    """realizing_bipartitions against the symmetry_keys of p.
 
     Each component is 2-coloured once by breadth-first layers over the
     adjacency bitmasks; an edge inside a layer closes an odd cycle, and
     then g has no bipartition at all.  A bipartite graph with c components
     has exactly 2^(c-1) unordered 2-colourings: the side of the component
     of vertex 1 that holds vertex 1 is fixed, and every other component
-    goes either way round."""
+    goes either way round.  A colouring's matrix, its side A in increasing
+    order as rows and side B as columns, is keyed as symmetry_keys keys
+    p's images: column j has bit i set iff the i-th vertex of A is
+    adjacent to the j-th vertex of B, read off that vertex's adjacency
+    bitmask."""
     n = g.num_vertices
     adj = g._forms[0]
     sides: list[list[int]] = []  # per component: [root's side, other side]
@@ -531,7 +588,12 @@ def _realizations(g: OrderedGraph, variants: frozenset[Pattern01]) -> list[Bipar
             mask |= colour[flips >> j & 1]
         part_a = tuple(v for v in range(1, n + 1) if mask >> v & 1)
         part_b = tuple(v for v in range(1, n + 1) if not mask >> v & 1)
-        if part_b and _matrix_of_bipartition(g, part_a, part_b) in variants:
+        if not part_b:
+            continue
+        cols = tuple(
+            sum(1 << i for i, a in enumerate(part_a) if adj[b] >> a & 1) for b in part_b
+        )
+        if (len(part_a), len(part_b), cols) in orbit:
             found.append((part_a, part_b))
     found.sort(key=lambda parts: (len(parts[0]), parts[0]))
     return [Bipartition(frozenset(a), frozenset(b)) for a, b in found]
@@ -544,7 +606,7 @@ def realizing_bipartitions(g: OrderedGraph, p: Pattern01) -> list[Bipartition]:
 
     part_u always holds vertex 1, and the list is ordered by len(part_u),
     then by sorted(part_u)."""
-    return _realizations(g, symmetry_variants(p))
+    return _realizations(g, symmetry_keys(p))
 
 
 def go_family(p: Pattern01) -> frozenset[OrderedGraph]:
@@ -552,7 +614,17 @@ def go_family(p: Pattern01) -> frozenset[OrderedGraph]:
     column, every interleaving of the two groups along the line, row and
     column order each taken increasing or decreasing, edges at the ones.
     Members whose independent-set decomposition realizing p is not unique
-    are discarded."""
+    are discarded.
+
+    Only a p whose bipartite graph (rows and columns, an edge per one) is
+    disconnected runs that uniqueness test, on the symmetry_keys of p.  If
+    the graph is connected, so is every member, which is a copy of it laid
+    on the line.  A connected bipartite graph has exactly one unordered
+    2-colouring: the row positions against the column positions.  Its
+    matrix, with either side as the rows, is p with its rows and columns
+    each in one direction or reversed, perhaps transposed, so it lies in
+    p's dihedral orbit.  So every member realizes p exactly once and is
+    kept."""
     if not p.ones:
         raise InvalidInputError("pattern with no ones has no realizations")
     k, c = p.num_rows, p.num_cols
@@ -573,8 +645,16 @@ def go_family(p: Pattern01) -> frozenset[OrderedGraph]:
                     for r, cc in p.ones
                 )
                 members.add(OrderedGraph(n, edges))
-    variants = symmetry_variants(p)
-    return frozenset(g for g in members if len(_realizations(g, variants)) == 1)
+    rows, grown = 0, 1  # the rows reached from row 1 through shared columns
+    while grown != rows:
+        rows = grown
+        for col in p.col_masks:
+            if col & rows:
+                grown |= col
+    if rows == (1 << k) - 1:  # every column has a one, so all are reached too
+        return frozenset(members)
+    orbit = symmetry_keys(p)
+    return frozenset(g for g in members if len(_realizations(g, orbit)) == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,26 @@ def symmetry_variants(p: Pattern01) -> frozenset[Pattern01]:
     return frozenset(out)
 
 
+MatrixKey = tuple[int, int, tuple[int, ...]]
+
+
+def symmetry_keys(p: Pattern01) -> frozenset[MatrixKey]:
+    """The (num_rows, num_cols, col_masks) of each image in p's symmetry
+    orbit, read straight off p.col_masks: the orbit is p and its transpose,
+    each as it is, with its columns reversed (reflect_vertical), with its
+    rows reversed (each mask's bits reversed, reflect_horizontal), or both.
+    Two patterns are equal iff their keys are."""
+    k, c, cols = p.num_rows, p.num_cols, p.col_masks
+    # column r of the transpose holds row r+1 of p
+    rows = tuple(sum((mask >> r & 1) << j for j, mask in enumerate(cols)) for r in range(k))
+    out = set()
+    for height, width, masks in ((k, c, cols), (c, k, rows)):
+        flipped = tuple(int(f"{mask:0{height}b}"[::-1], 2) for mask in masks)
+        for image in (masks, masks[::-1], flipped, flipped[::-1]):
+            out.add((height, width, image))
+    return frozenset(out)
+
+
 def canonical_key(p: Pattern01) -> str:
     """Cache key shared by the whole symmetry orbit: the lexicographically
     least file serialization in the orbit, rendered with '/' separators."""

@@ -27,6 +27,7 @@ from .automaton import matrix_automaton, sequence_automaton
 from .errors import InvalidInputError
 from .ordered_graphs import (
     Bipartition,
+    NeedleTable,
     OrderedGraph,
     go_family,
     og_bipartite_reduce,
@@ -391,6 +392,13 @@ def _known_og_members() -> frozenset[OrderedGraph]:
 
 
 @lru_cache(maxsize=1)
+def _known_og_table() -> NeedleTable:
+    """_known_og_members as og_structural_filter screens them, in that
+    frozenset's own iteration order."""
+    return NeedleTable(_known_og_members())
+
+
+@lru_cache(maxsize=1)
 def _q_family() -> frozenset[OrderedGraph]:
     return go_family(parse_pattern("101/011"))
 
@@ -398,7 +406,13 @@ def _q_family() -> frozenset[OrderedGraph]:
 def og_structural_filter(g: OrderedGraph, parts: Bipartition) -> CandidateReport:
     """Ordered-graph analogue of structural_filter for a bipartite graph with
     a chosen bipartition.  A bad bipartition raises InvalidInputError from
-    og_bipartite_reduce's check_bipartition."""
+    og_bipartite_reduce's check_bipartition.
+
+    The strict-known-containment check screens g against every known
+    family member at once (_known_og_table) and runs og_contains only on
+    the members that screen keeps, in the members' order.  The screen drops
+    only members og_contains would refuse, so the report names the first
+    member, in that order, that g strictly contains."""
     checks: list[FilterCheck] = []
     small = min(len(parts.part_u), len(parts.part_v))
     large = max(len(parts.part_u), len(parts.part_v))
@@ -449,11 +463,20 @@ def og_structural_filter(g: OrderedGraph, parts: Bipartition) -> CandidateReport
             FilterCheck("bipartite-reduction", "fail", f"vertex {heavy[0]} keeps several neighbors after reduction")
         )
 
-    known = _known_og_members()
-    is_known = g in known
-    # only a known member needs the others told from itself
-    others = (m for m in known if m != g) if is_known else known
-    hit = next((m for m in others if og_contains(g, m)), None)
+    table = _known_og_table()
+    at = table.position.get(g)
+    is_known = at is not None
+    live = table.screen(g)
+    if is_known:  # strict containment: a known g is no hit for itself
+        live &= ~(1 << at)
+    hit = None
+    while live:  # lowest bit first, so the hit is the first in the members' order
+        low = live & -live
+        m = table.members[low.bit_length() - 1]
+        if og_contains(g, m):
+            hit = m
+            break
+        live ^= low
     checks.append(
         FilterCheck(
             "strict-known-containment",

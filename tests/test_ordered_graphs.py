@@ -1,12 +1,15 @@
 import random
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import mnl.ordered_graphs
 from mnl.errors import InvalidInputError, InvalidTransformationError
 from mnl.ordered_graphs import (
     Bipartition,
+    NeedleTable,
     OrderedGraph,
     check_bipartition,
     format_ordered_graph,
@@ -135,6 +138,38 @@ class TestForms:
         assert len({built, fresh}) == 1
         assert {"_forms", "_at_least", "_text"} <= set(built.__dict__)
         assert set(fresh.__dict__) == {"num_vertices", "edges"}
+
+
+class TestNeedleTable:
+    """NeedleTable.screen runs og_contains's screen on a whole needle set."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.lists(small_graphs(max_n=6), min_size=1, max_size=8))
+    @example(G("n=4;1 3;2 4"), [G("n=3;1 2;2 3"), G("n=4;1 3;2 4"), G("n=4;1 2;3 4")])
+    @example(G("n=3;1 2;2 3"), [G("n=4;1 3;2 4"), G("n=5;1 2;3 4;4 5"), G("n=6;1 6")])
+    @example(G("n=7;3 5"), [G("n=4;1 2;3 4"), G("n=2;1 2")])
+    def test_screen_keeps_every_contained_needle(self, h, needles):
+        # the examples: a host equal to a needle, a host smaller than every
+        # needle, and a host whose one edge gives every vertex of the first
+        # needle room, though that needle has more edges
+        table = NeedleTable(needles)
+        live = table.screen(h)
+        for j, m in enumerate(table.members):
+            if naive_og_contains(h, m):
+                assert live >> j & 1, str(m)
+        # when every placement succeeds, og_contains answers its screen
+        # alone: the size checks and the room rule, which the table must
+        # apply alike
+        with mock.patch.object(mnl.ordered_graphs, "_place", return_value=True):
+            screened = sum(1 << j for j, m in enumerate(table.members) if og_contains(h, m))
+        assert live == screened
+
+    def test_members_keep_their_order_and_positions(self):
+        needles = [G("n=4;1 3;2 4"), G("n=3;1 2;2 3"), G("n=2;1 2")]
+        table = NeedleTable(needles)
+        assert table.members == tuple(needles)
+        assert table.position == {g: j for j, g in enumerate(needles)}
+        assert table.screen(G("n=2;1 2")) == 0b100
 
 
 class TestOgEx:
@@ -278,6 +313,22 @@ class TestRealizingBipartitions:
         assert realizing_bipartitions(g, P("10/01")) == expected
         assert naive_realizing_bipartitions(g, P("10/01")) == expected
         assert g not in go_family(P("10/01"))
+
+    @pytest.mark.parametrize("text", ["10/01", "1010/0101", "100/001/010"])
+    def test_go_family_on_disconnected_patterns(self, text):
+        # only a disconnected p runs the uniqueness test
+        p = P(text)
+        family = go_family(p)
+        assert family == frozenset(
+            g for g in placements(p) if len(naive_realizing_bipartitions(g, p)) == 1
+        )
+
+    @pytest.mark.parametrize("text", ["1", "11/11", "101/011", "110/011/001", "1100/0111"])
+    def test_go_family_keeps_every_placement_of_a_connected_pattern(self, text):
+        p = P(text)
+        family = go_family(p)
+        assert family == placements(p)
+        assert all(len(naive_realizing_bipartitions(g, p)) == 1 for g in family)
 
     def test_go_family_keeps_exactly_the_unique_realizations(self):
         for c in range(1, 5):

@@ -1,6 +1,8 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mnl.errors import InvalidInputError, InvalidTransformationError
 from mnl.patterns import (
@@ -16,6 +18,7 @@ from mnl.patterns import (
     reflect_vertical,
     rotate90,
     scan_reduction,
+    symmetry_keys,
     symmetry_variants,
 )
 
@@ -111,7 +114,22 @@ class TestContains:
                 assert contains(f(hay), f(needle)) == base
 
 
+@st.composite
+def small_patterns(draw, max_rows=4, max_cols=5):
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    cells = list(product(range(1, rows + 1), range(1, cols + 1)))
+    return Pattern01(rows, cols, frozenset(draw(st.sets(st.sampled_from(cells)))))
+
+
 class TestSymmetry:
+    @settings(max_examples=400, deadline=None)
+    @given(small_patterns())
+    @example(P("1"))
+    @example(P("1010/0101"))
+    @example(Pattern01(4, 5, frozenset({(1, 2), (4, 5)})))
+    def test_keys_are_the_orbits_column_masks(self, p):
+        assert symmetry_keys(p) == {(q.num_rows, q.num_cols, q.col_masks) for q in symmetry_variants(p)}
+
     def test_orbit_collapse(self):
         assert symmetry_variants(P("11")) == frozenset({P("11"), P("1/1")})
 

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mnl.pipeline
 from mnl.errors import InvalidInputError
 from mnl.ordered_graphs import (
     Bipartition,
@@ -22,6 +23,7 @@ from mnl.pipeline import (
     _construction,
     _count_bound,
     _known_og_members,
+    _known_og_table,
     construction_patterns,
     enumerate_candidates,
     enumerate_og_candidates,
@@ -432,6 +434,25 @@ class TestOgEnumeration:
             family = go_family(p)
             assert families.setdefault(canonical_key(p), family) == family, str(p)
         assert len(families) < len(patterns)
+
+    def test_og_contains_calls_pinned(self, monkeypatch):
+        # og_structural_filter screens each graph against the 73 known
+        # members at once (43 distinct vertex demands) and calls og_contains
+        # only on the members that screen keeps: 3,754 calls at k = 2, where
+        # one call per member would make 43,143
+        table = _known_og_table()
+        assert table.members == tuple(_known_og_members())
+        assert (len(table.members), len(table.demands)) == (73, 43)
+        calls = []
+        real = mnl.pipeline.og_contains
+
+        def counted(h, g):
+            calls.append(g)
+            return real(h, g)
+
+        monkeypatch.setattr(mnl.pipeline, "og_contains", counted)
+        reports = list(enumerate_og_candidates(2, *_col_range(2)))
+        assert (len(reports), len(calls)) == (592, 3754)
 
     def test_no_duplicates(self):
         reports = list(enumerate_og_candidates(2, 2, 4))
