@@ -44,7 +44,7 @@ from .pipeline import (
     _check_k,
     _col_range,
     _count_bound,
-    enumerate_candidates,
+    candidate_documents,
     enumerate_og_candidates,
     known_mnl_2row,
 )
@@ -186,10 +186,8 @@ def _enum_candidates(args) -> Iterable[dict[str, Any]]:
             f"[{col_min}, {col_max}] exceeds --budget {args.budget}"
         )
     if args.mode == "matrix":
-        reports = enumerate_candidates(args.k, col_min, col_max)
-    else:
-        reports = enumerate_og_candidates(args.k, col_min, col_max)
-    return (rep.to_json_dict() for rep in reports)
+        return candidate_documents(args.k, col_min, col_max)
+    return (rep.to_json_dict() for rep in enumerate_og_candidates(args.k, col_min, col_max))
 
 
 def _bounds(args) -> list[dict[str, Any]]:

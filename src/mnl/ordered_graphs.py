@@ -685,6 +685,19 @@ def og_bipartite_reduce(g: OrderedGraph, parts: Bipartition) -> OrderedGraph:
     return OrderedGraph(g.num_vertices, g.edges - removed)
 
 
+def og_bipartite_reduced_degrees(g: OrderedGraph, parts: Bipartition) -> dict[int, int]:
+    """The degree of each part_v vertex in og_bipartite_reduce(g, parts),
+    counted without building that graph: its neighbours, less those whose
+    smallest neighbour it is.  A bad bipartition raises as there."""
+    check_bipartition(g, parts)
+    adj = g._forms[0]
+    dropped = dict.fromkeys(parts.part_v, 0)  # v -> the part_u vertices whose smallest neighbour is v
+    for u in parts.part_u:
+        if adj[u]:
+            dropped[(adj[u] & -adj[u]).bit_length() - 1] |= 1 << u
+    return {v: (adj[v] & ~mask).bit_count() for v, mask in dropped.items()}
+
+
 def og_insert_split_vertex(g: OrderedGraph, left: int, neighbor: int) -> OrderedGraph:
     """Insert a degree-one vertex between consecutive vertices left and
     left+1, both of which must be adjacent to neighbor; the new vertex is

@@ -285,14 +285,22 @@ def scan_reduction(p: Pattern01) -> Sequence:
     topmost one-row different from the previous letter.  The letters are
     renamed to normalized form, which preserves runs and alternations.
     """
-    letters: list[int] = []
-    prev = 0
     for c, mask in enumerate(p.col_masks, start=1):
         if not mask:
             raise InvalidInputError(f"column {c} has no ones")
+    return Sequence(scan_letters(p.col_masks))
+
+
+def scan_letters(col_masks: Seq[int]) -> tuple[int, ...]:
+    """scan_reduction's letters for nonzero column masks, renamed by first
+    occurrence."""
+    names: dict[int, int] = {}
+    letters = []
+    prev = 0
+    for mask in col_masks:
         prev = _scan_letter(prev, mask)
-        letters.append(prev.bit_length())
-    return Sequence.normalized(letters)
+        letters.append(names.setdefault(prev, len(names) + 1))
+    return tuple(letters)
 
 
 def _scan_letter(prev: int, mask: int) -> int:

@@ -9,28 +9,30 @@ matrices are recognized exactly (reflections counted as distinct patterns,
 matching how they are usually listed).
 
 The matrix stream does not filter every pattern the counting bound counts:
-it builds the leftmost-one construction column by column and cuts a prefix
-at the first check it fails that more columns cannot mend (a run of 3 or an
-abab in the scan word, a known 2-row matrix contained).  A survivor passes
-every check of structural_filter by construction, so the stream writes its
-report without running the filter again; only the known seven, seeded at
-k = 2, go through structural_filter.
+it builds the leftmost-one construction level by level, each prefix of
+columns extended once, and cuts a prefix at the first check it fails that
+more columns cannot mend (a run of 3 or an abab in the scan word, a known
+2-row matrix contained).  A survivor passes every check of
+structural_filter by construction, so the stream writes its report, or its
+JSON document, from its column masks without running the filter again;
+only the known seven, seeded at k = 2, go through structural_filter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from types import SimpleNamespace
 from typing import Iterator, Union
 
-from .automaton import matrix_automaton, sequence_automaton
+from . import automaton
 from .errors import InvalidInputError
 from .ordered_graphs import (
     Bipartition,
     NeedleTable,
     OrderedGraph,
     go_family,
-    og_bipartite_reduce,
+    og_bipartite_reduced_degrees,
     og_contains,
     realizing_bipartitions,
     underlying_is_k22,
@@ -43,10 +45,11 @@ from .patterns import (
     parse_pattern,
     reduce_leftmost,
     reflect_vertical,
+    scan_letters,
     scan_reduction,
 )
 from .records import GrowthReport
-from .sequences import Sequence, blocks, seq_contains
+from .sequences import Sequence, blocks, format_letters, seq_contains
 
 ABAB = Sequence((1, 2, 1, 2))
 
@@ -66,17 +69,27 @@ class CandidateReport:
     growth: GrowthReport | None = field(default=None)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "pattern": str(self.pattern),
-            "checks": [
-                {"name": c.name, "status": c.status, "detail": c.detail}
-                for c in self.checks
-            ],
-            "verdict": self.verdict,
-        }
+        out = _document(str(self.pattern), self.checks, self.verdict)
         if self.growth is not None:
             out["growth"] = self.growth.to_json_dict()
         return out
+
+
+def _document(pattern: str, checks: tuple[FilterCheck, ...], verdict: str) -> dict:
+    return {
+        "pattern": pattern,
+        "checks": [{"name": c.name, "status": c.status, "detail": c.detail} for c in checks],
+        "verdict": verdict,
+    }
+
+
+def _check(name: str, ok: bool, detail: str) -> FilterCheck:
+    return FilterCheck(name, "pass" if ok else "fail", detail)
+
+
+def _report(pattern: Union[Pattern01, OrderedGraph], checks: list[FilterCheck], known: bool) -> CandidateReport:
+    verdict = "known-mnl" if known else "structural-candidate"
+    return CandidateReport(pattern, tuple(checks), "rejected" if any(c.status == "fail" for c in checks) else verdict)
 
 
 def _check_k(k: int) -> None:
@@ -93,32 +106,23 @@ def known_mnl_2row() -> frozenset[Pattern01]:
     """The seven known 2-row minimally non-linear matrices: the 2x2 all-ones
     block, two three-column matrices, one four-column matrix, and the
     vertical reflections of the last three."""
-    base = [
-        parse_pattern("11/11"),
-        parse_pattern("101/011"),
-        parse_pattern("011/101"),
-        parse_pattern("1010/0101"),
-    ]
+    base = [parse_pattern(text) for text in ("11/11", "101/011", "011/101", "1010/0101")]
     return frozenset(base + [reflect_vertical(p) for p in base[1:]])
 
 
 # The checks a construction survivor passes whatever its shape.
 _ZERO_FREE = FilterCheck("zero-lines", "pass", "no all-zero row or column")
-_LEFTMOST_PASS = FilterCheck(
-    "leftmost-reduction", "pass", "at most one one per column after removing leftmost ones"
-)
+_LEFTMOST_PASS = FilterCheck("leftmost-reduction", "pass", "at most one one per column after removing leftmost ones")
 _STRICT_PASS = FilterCheck("strict-2row-containment", "pass", "contains no known 2-row matrix strictly")
 
 
 def _range_checks(k: int, c: int, ones: int) -> tuple[FilterCheck, FilterCheck]:
     lo, hi = _col_range(k)
-    ok = lo <= c <= hi
-    cols = FilterCheck("column-range", "pass" if ok else "fail", f"columns {c} vs allowed [{lo}, {hi}] for {k} rows")
-    ok = k <= ones <= 5 * k - 3
-    return cols, FilterCheck("ones-range", "pass" if ok else "fail", f"ones {ones} vs allowed [{k}, {5 * k - 3}]")
+    return (_check("column-range", lo <= c <= hi, f"columns {c} vs allowed [{lo}, {hi}] for {k} rows"),
+            _check("ones-range", k <= ones <= 5 * k - 3, f"ones {ones} vs allowed [{k}, {5 * k - 3}]"))
 
 
-def _scan_pass(word: Sequence) -> FilterCheck:
+def _scan_pass(word: str) -> FilterCheck:
     return FilterCheck("scan-word", "pass", f"scan word {word} has short runs and no abab")
 
 
@@ -128,27 +132,16 @@ def structural_filter(p: Pattern01) -> CandidateReport:
     if not p.ones:
         raise InvalidInputError("empty pattern")
     k, c = p.num_rows, p.num_cols
-    checks: list[FilterCheck] = []
-
-    rows_with = {r for r, _ in p.ones}
-    cols_with = {cc for _, cc in p.ones}
-    zero_free = len(rows_with) == k and len(cols_with) == c
-    checks.append(
-        _ZERO_FREE if zero_free else FilterCheck("zero-lines", "fail", "has an all-zero row or column")
-    )
+    zero_free = len({r for r, _ in p.ones}) == k and len({cc for _, cc in p.ones}) == c
+    checks = [_ZERO_FREE if zero_free else FilterCheck("zero-lines", "fail", "has an all-zero row or column")]
     checks += _range_checks(k, c, len(p.ones))
 
     if not zero_free:
         skipped = "skipped: needs a pattern without zero lines"
-        checks.append(FilterCheck("leftmost-reduction", "exception", skipped))
-        checks.append(FilterCheck("scan-word", "exception", skipped))
+        checks += [FilterCheck(name, "exception", skipped) for name in ("leftmost-reduction", "scan-word")]
     else:
-        reduced = reduce_leftmost(p)
-        col_loads = [0] * c
-        for _, cc in reduced.ones:
-            col_loads[cc - 1] += 1
-        ok = all(load <= 1 for load in col_loads)
-        if ok:
+        kept = [cc for _, cc in reduce_leftmost(p).ones]
+        if len(kept) == len(set(kept)):
             checks.append(_LEFTMOST_PASS)
         elif p in known_mnl_2row():
             checks.append(
@@ -163,28 +156,19 @@ def structural_filter(p: Pattern01) -> CandidateReport:
         longest_run = max(length for _, length in blocks(word).runs)
         has_abab = seq_contains(word, ABAB)
         if longest_run < 3 and not has_abab:
-            checks.append(_scan_pass(word))
+            checks.append(_scan_pass(str(word)))
         elif p in known_mnl_2row():
             checks.append(FilterCheck("scan-word", "exception", "abab scan word allowed for this exceptional matrix"))
         else:
             reason = "a run of length 3" if longest_run >= 3 else "an abab alternation"
             checks.append(FilterCheck("scan-word", "fail", f"scan word {word} has {reason}"))
 
-    strict_hits = [
-        m for m in known_mnl_2row() if m != p and contains(p, m)
-    ]
+    strict_hits = [m for m in known_mnl_2row() if m != p and contains(p, m)]
     checks.append(
         FilterCheck("strict-2row-containment", "fail", f"strictly contains {strict_hits[0]}")
         if strict_hits else _STRICT_PASS
     )
-
-    if any(ch.status == "fail" for ch in checks):
-        verdict = "rejected"
-    elif p in known_mnl_2row():
-        verdict = "known-mnl"
-    else:
-        verdict = "structural-candidate"
-    return CandidateReport(pattern=p, checks=tuple(checks), verdict=verdict)
+    return _report(p, checks, p in known_mnl_2row())
 
 
 class _PrefixScreen:
@@ -207,7 +191,7 @@ class _PrefixScreen:
 
     def __init__(self, k: int) -> None:
         self.k = k
-        self.abab_tracks, self.abab_at = sequence_automaton(ABAB.letters, k)
+        self.abab_tracks, self.abab_at = automaton.sequence_automaton(ABAB.letters, k)
         self.abab_bits = self.abab_tracks * len(ABAB.letters)
         self.start = ((1 << self.abab_tracks) - 1) << (k + 2)
         shift = k + 2 + self.abab_bits
@@ -215,7 +199,7 @@ class _PrefixScreen:
         # matrix_automaton, as (T, at, the bit from which a copy is found)
         self.known = []
         for m in known_mnl_2row():
-            tracks, at = matrix_automaton(m.col_masks, 2, k)
+            tracks, at = automaton.matrix_automaton(m.col_masks, 2, k)
             self.known.append((tracks, at, tracks * m.num_cols))
             self.start |= ((1 << tracks) - 1) << shift
             shift += tracks * m.num_cols
@@ -256,89 +240,133 @@ class _PrefixScreen:
         return nxt
 
 
-def _construction(k: int, num_cols: int, screen: _PrefixScreen | None = None) -> Iterator[Pattern01]:
-    """The leftmost-one construction built column by column: each column
-    starts some rows that have no one yet (column 1 at least one, the last
-    column all that are left) and adds at most one extra one in a row started
-    further left; a column that starts no row must add one.  Each pattern
-    arises exactly once.
+# A screen that cuts no prefix, for the whole construction.
+_UNSCREENED = SimpleNamespace(start=0, advance=lambda state, mask: state)
 
-    With a screen, a prefix is cut at the first check it fails; a cut prefix
-    only leads to patterns structural_filter rejects, or to one of the known
-    2-row matrices (each contains itself), which enumerate_candidates adds
-    back to every k = 2 batch.
-    """
+
+def _levels(k: int, last: int, screen) -> Iterator[list[tuple[tuple[int, ...], int, int]]]:
+    """Levels 1 to last of the leftmost-one construction.  Level L holds the
+    prefixes of L columns that the screen keeps, as (column masks, rows
+    started, screen state): each level-(L-1) prefix extended once by every
+    column that may follow it.  A column starts some rows that have no one
+    yet and adds at most one extra one in a row already started, exactly
+    one if it starts no row; so column 1 starts a row.  The construction's
+    patterns of L columns are the level-L prefixes that started every row,
+    and the last level holds only those.  Level L is built after the caller
+    has taken level L-1, and one of more than automaton.MAX_MEMO_ENTRIES
+    prefixes raises InvalidInputError."""
     full = (1 << k) - 1
+    limit = automaton.MAX_MEMO_ENTRIES
+    options: dict[int, list[tuple[int, int]]] = {}  # rows started -> (column, rows started after it)
+    level = [((), 0, screen.start)]
+    for length in range(1, last + 1):
+        nxt = []
+        for masks, started, state in level:
+            opts = options.get(started)
+            if opts is None:
+                held = [1 << r for r in range(k) if started >> r & 1]
+                opts = options[started] = [
+                    (new | extra, started | new)
+                    for new in range(full + 1) if not new & started
+                    for extra in held + [0] * (new > 0)
+                ]
+            for col, now in opts:
+                if length < last or now == full:
+                    after = screen.advance(state, col)
+                    if after is not None:
+                        nxt.append((masks + (col,), now, after))
+            if len(nxt) > limit:
+                raise InvalidInputError(
+                    f"more than {limit} prefixes of {length} columns; "
+                    f"the candidate stream is complete only through {length - 1} columns"
+                )
+        level = nxt
+        yield level
 
-    def extend(masks: tuple[int, ...], started: int, state) -> Iterator[Pattern01]:
-        last = len(masks) + 1 == num_cols
-        unstarted = full & ~started
-        if last:
-            starts = [unstarted]
-        else:
-            starts = [s for s in range(unstarted + 1) if s & unstarted == s and (s or masks)]
-        held = [1 << r for r in range(k) if started >> r & 1]
-        for new in starts:
-            for extra in held + ([0] if new else []):
-                cols = masks + (new | extra,)
-                nxt = screen.advance(state, cols[-1]) if screen else state
-                if nxt is None:
-                    continue
-                if last:
-                    yield Pattern01(k, num_cols, frozenset(
-                        (r + 1, c) for c, m in enumerate(cols, 1) for r in range(k) if m >> r & 1
-                    ))
-                else:
-                    yield from extend(cols, started | new, nxt)
 
-    yield from extend((), 0, screen.start if screen else ())
+def _construction(k: int, col_min: int, col_max: int, screen) -> Iterator[list[tuple[str, tuple[int, ...]]]]:
+    """The construction's patterns of each column count from col_min to
+    col_max that the screen keeps, as (row text, column masks).  Each
+    pattern arises exactly once.  A prefix _PrefixScreen cuts only leads to
+    patterns structural_filter rejects, or to one of the known 2-row
+    matrices (each contains itself)."""
+    full = (1 << k) - 1
+    column = lru_cache(maxsize=None)(lambda mask: format(mask, f"0{k}b")[::-1])  # its rows' digits, row 1 first
+    for i, level in enumerate(_levels(k, col_max, screen), 1):
+        if i >= col_min:
+            yield [("/".join(map("".join, zip(*map(column, masks)))), masks)
+                   for masks, started, _ in level if started == full]
+
+
+def _pattern(k: int, masks: tuple[int, ...]) -> Pattern01:
+    ones = frozenset((r + 1, c) for c, m in enumerate(masks, 1) for r in range(k) if m >> r & 1)
+    return Pattern01(k, len(masks), ones)
 
 
 def construction_patterns(k: int, num_cols: int) -> Iterator[Pattern01]:
     """Raw generator behind the counting bound: pick each row's leftmost-one
     column (column 1 must host at least one of them), then give every later
     column at most one extra one in a row whose leftmost lies further left.
-    Each generated pattern arises exactly once."""
-    return _construction(k, num_cols)
+    Each generated pattern arises exactly once.  This is the stream's own
+    construction with a screen that cuts nothing, so its levels are capped
+    in the same way."""
+    for batch in _construction(k, num_cols, num_cols, _UNSCREENED):
+        yield from (_pattern(k, masks) for _, masks in batch)
 
 
-def enumerate_candidates(
-    k: int, col_min: int, col_max: int
-) -> Iterator[CandidateReport]:
-    """Stream non-rejected candidate reports for k-row patterns with column
-    counts in [col_min, col_max], in column-count-then-row-string order.
-
-    The construction is built column by column, and a prefix is cut at the
-    first monotone check of structural_filter it fails (_PrefixScreen); the
-    stream is the same as filtering every construction pattern.  Each
-    survivor passes all six checks, and its report says so without running
-    them again: it has no zero line (every row is started, every column
-    holds a one), its column count lies in the range checked below, it has
-    at most k + num_cols - 1 <= 5k - 3 ones, removing each row's leftmost one
-    leaves at most the one extra per column, and the screen proved its scan
-    word and its strict 2-row containment.  The screen cuts every known
-    2-row matrix, since each contains itself (and the leftmost-one
-    reconstruction cannot reach the three whose reduced form keeps a
-    multi-one column), so for k = 2 the known seven are seeded into the
-    stream through structural_filter.
-    """
+def _survivors(k: int, col_min: int, col_max: int) -> Iterator[tuple[str, tuple[int, ...], tuple, str]]:
+    """enumerate_candidates's stream as (row text, column masks, checks,
+    verdict).  A survivor's checks are shared by every survivor with its
+    ones count and scan word."""
     _check_k(k)
     lo, hi = _col_range(k)
     if not lo <= col_min <= col_max <= hi:
-        raise InvalidInputError(
-            f"column range [{col_min}, {col_max}] must sit inside [{lo}, {hi}] for k={k}"
-        )
-    screen = _PrefixScreen(k)
-    for i in range(col_min, col_max + 1):
-        batch = {}
-        for p in _construction(k, i, screen):
-            checks = (_ZERO_FREE, *_range_checks(k, i, len(p.ones)), _LEFTMOST_PASS,
-                      _scan_pass(scan_reduction(p)), _STRICT_PASS)
-            batch[str(p)] = CandidateReport(p, checks, "structural-candidate")
-        if k == 2:
-            batch.update((str(m), structural_filter(m)) for m in known_mnl_2row() if m.num_cols == i)
-        for key in sorted(batch):
-            yield batch[key]
+        raise InvalidInputError(f"column range [{col_min}, {col_max}] must sit inside [{lo}, {hi}] for k={k}")
+    shared: dict[tuple[int, str], tuple[FilterCheck, ...]] = {}
+    for i, batch in enumerate(_construction(k, col_min, col_max, _PrefixScreen(k)), col_min):
+        known = {str(m): structural_filter(m) for m in known_mnl_2row() if k == 2 and m.num_cols == i}
+        batch += [(text, r.pattern.col_masks) for text, r in known.items()]
+        for text, masks in sorted(batch):
+            if text in known:
+                yield text, masks, known[text].checks, known[text].verdict
+                continue
+            key = ones, word = sum(map(int.bit_count, masks)), format_letters(scan_letters(masks))
+            checks = shared.get(key)
+            if checks is None:
+                checks = shared[key] = (_ZERO_FREE, *_range_checks(k, i, ones), _LEFTMOST_PASS,
+                                        _scan_pass(word), _STRICT_PASS)
+            yield text, masks, checks, "structural-candidate"
+
+
+def enumerate_candidates(k: int, col_min: int, col_max: int) -> Iterator[CandidateReport]:
+    """Stream non-rejected candidate reports for k-row patterns with column
+    counts in [col_min, col_max], in column-count-then-row-string order.
+
+    The construction is built level by level (_levels), each prefix
+    extended once and cut at the first monotone check of structural_filter
+    it fails (_PrefixScreen); the stream is the same as filtering every
+    construction pattern.  Each survivor passes all six checks, and its
+    report says so without running them: it has no zero line (every row is
+    started, every column holds a one), its column count lies in the range
+    checked here, it has at most k + num_cols - 1 <= 5k - 3 ones, removing
+    each row's leftmost one leaves at most the one extra per column, and the
+    screen proved its scan word and its strict 2-row containment.  The
+    screen cuts every known 2-row matrix, since each contains itself (and
+    the construction cannot reach the three whose reduced form keeps a
+    multi-one column), so for k = 2 the known seven are seeded into the
+    stream through structural_filter.  A level of more than
+    automaton.MAX_MEMO_ENTRIES prefixes ends the stream with
+    InvalidInputError, after every report up to the column count it names.
+    """
+    for _, masks, checks, verdict in _survivors(k, col_min, col_max):
+        yield CandidateReport(_pattern(k, masks), checks, verdict)
+
+
+def candidate_documents(k: int, col_min: int, col_max: int) -> Iterator[dict]:
+    """The to_json_dict documents of enumerate_candidates's reports, each
+    written from the survivor's row text: no Pattern01, Sequence or
+    CandidateReport is built for it."""
+    return (_document(text, checks, verdict) for text, _, checks, verdict in _survivors(k, col_min, col_max))
 
 
 def matrix_count_bound(k: int) -> int:
@@ -406,68 +434,43 @@ def _q_family() -> frozenset[OrderedGraph]:
 def og_structural_filter(g: OrderedGraph, parts: Bipartition) -> CandidateReport:
     """Ordered-graph analogue of structural_filter for a bipartite graph with
     a chosen bipartition.  A bad bipartition raises InvalidInputError from
-    og_bipartite_reduce's check_bipartition.
+    check_bipartition.
 
     The strict-known-containment check screens g against every known
     family member at once (_known_og_table) and runs og_contains only on
     the members that screen keeps, in the members' order.  The screen drops
     only members og_contains would refuse, so the report names the first
     member, in that order, that g strictly contains."""
-    checks: list[FilterCheck] = []
-    small = min(len(parts.part_u), len(parts.part_v))
-    large = max(len(parts.part_u), len(parts.part_v))
+    nu, nv = len(parts.part_u), len(parts.part_v)
+    small, large = min(nu, nv), max(nu, nv)
     is_k22 = underlying_is_k22(g)
+    cap = 4 * small - 2
+    checks = [_check("part-ratio", large <= cap, f"parts {nu} and {nv}: larger {large} vs cap {cap}")]
 
-    ok = large <= 4 * small - 2
-    checks.append(
-        FilterCheck(
-            "part-ratio",
-            "pass" if ok else "fail",
-            f"parts {len(parts.part_u)} and {len(parts.part_v)}: larger {large} vs cap {4 * small - 2}",
-        )
-    )
-
-    edges = len(g.edges)
-    cap = len(parts.part_u) + len(parts.part_v) - 1
+    edges, cap = len(g.edges), nu + nv - 1
     if edges <= cap:
         checks.append(FilterCheck("edge-count-bipartite", "pass", f"{edges} edges within {cap}"))
     elif is_k22:
-        checks.append(
-            FilterCheck("edge-count-bipartite", "exception", "edge excess allowed: underlying graph is K22")
-        )
+        checks.append(FilterCheck("edge-count-bipartite", "exception", "edge excess allowed: underlying graph is K22"))
     else:
         checks.append(FilterCheck("edge-count-bipartite", "fail", f"{edges} edges exceed {cap}"))
-
     cap = 2 * g.num_vertices - 2
-    ok = edges <= cap
-    checks.append(
-        FilterCheck(
-            "edge-count-total",
-            "pass" if ok else "fail",
-            f"{edges} edges vs cap {cap} for {g.num_vertices} vertices",
-        )
-    )
+    checks.append(_check("edge-count-total", edges <= cap, f"{edges} edges vs cap {cap} for {g.num_vertices} vertices"))
 
-    reduced = og_bipartite_reduce(g, parts)
-    heavy = [v for v in sorted(parts.part_v) if reduced.degree(v) > 1]
+    degrees = og_bipartite_reduced_degrees(g, parts)
+    heavy = [v for v in sorted(parts.part_v) if degrees[v] > 1]
     if not heavy:
-        checks.append(
-            FilterCheck("bipartite-reduction", "pass", "every second-part vertex keeps at most one neighbor")
-        )
+        status, detail = "pass", "every second-part vertex keeps at most one neighbor"
     elif is_k22 or g in _q_family():
-        checks.append(
-            FilterCheck("bipartite-reduction", "exception", "multi-neighbor vertex allowed for this exceptional graph")
-        )
+        status, detail = "exception", "multi-neighbor vertex allowed for this exceptional graph"
     else:
-        checks.append(
-            FilterCheck("bipartite-reduction", "fail", f"vertex {heavy[0]} keeps several neighbors after reduction")
-        )
+        status, detail = "fail", f"vertex {heavy[0]} keeps several neighbors after reduction"
+    checks.append(FilterCheck("bipartite-reduction", status, detail))
 
     table = _known_og_table()
     at = table.position.get(g)
-    is_known = at is not None
     live = table.screen(g)
-    if is_known:  # strict containment: a known g is no hit for itself
+    if at is not None:  # strict containment: a known g is no hit for itself
         live &= ~(1 << at)
     hit = None
     while live:  # lowest bit first, so the hit is the first in the members' order
@@ -477,26 +480,14 @@ def og_structural_filter(g: OrderedGraph, parts: Bipartition) -> CandidateReport
             hit = m
             break
         live ^= low
-    checks.append(
-        FilterCheck(
-            "strict-known-containment",
-            "fail" if hit is not None else "pass",
-            f"strictly contains {hit}" if hit is not None else "contains no known family member strictly",
-        )
-    )
-
-    if any(ch.status == "fail" for ch in checks):
-        verdict = "rejected"
-    elif is_known:
-        verdict = "known-mnl"
-    else:
-        verdict = "structural-candidate"
-    return CandidateReport(pattern=g, checks=tuple(checks), verdict=verdict)
+    checks.append(_check(
+        "strict-known-containment", hit is None,
+        "contains no known family member strictly" if hit is None else f"strictly contains {hit}",
+    ))
+    return _report(g, checks, at is not None)
 
 
-def enumerate_og_candidates(
-    k: int, col_min: int, col_max: int
-) -> Iterator[CandidateReport]:
+def enumerate_og_candidates(k: int, col_min: int, col_max: int) -> Iterator[CandidateReport]:
     """Bipartite ordered-graph candidates: every realization of every
     non-rejected k-row matrix candidate, run through og_structural_filter
     with its unique realizing bipartition (the part holding vertex 1 plays

@@ -110,9 +110,15 @@ _LETTERS = bytes.maketrans(bytes(range(1, 27)), b"abcdefghijklmnopqrstuvwxyz")
 
 
 def format_sequence(u: Sequence) -> str:
-    if u.alphabet_size <= 26:
-        return bytes(u.letters).translate(_LETTERS).decode()
-    return ",".join(str(x) for x in u.letters)
+    return format_letters(u.letters)
+
+
+def format_letters(letters: tuple[int, ...]) -> str:
+    """The text of a normalized sequence's letters: a-z, or comma-separated
+    numbers over more than 26 letters."""
+    if max(letters) <= 26:
+        return bytes(letters).translate(_LETTERS).decode()
+    return ",".join(str(x) for x in letters)
 
 
 def seq_contains(u: Sequence, v: Sequence) -> bool:

@@ -13,13 +13,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mnl.automaton
 import mnl.cli
 import mnl.sequences
 from mnl.cache import CacheStore
 from mnl.cli import main
 from mnl.ordered_graphs import parse_ordered_graph
 from mnl.patterns import parse_pattern
-from mnl.pipeline import known_mnl_2row, matrix_count_bound, og_count_bound, seq_count_bound
+from mnl.pipeline import enumerate_candidates, known_mnl_2row, matrix_count_bound, og_count_bound, seq_count_bound
 from mnl.records import ExRecord
 from mnl.sequences import parse_sequence
 
@@ -418,6 +419,33 @@ class TestCliBasics:
         assert "abab" in words and "ababa" in words
         for w in words:
             assert str(parse_sequence(w)) == w
+
+    @pytest.mark.parametrize("k, col_min, col_max", [(2, 1, 6), (3, 2, 10), (4, 2, 5)])
+    def test_enum_matrix_documents_equal_library_reports(self, tmp_path, capsys, k, col_min, col_max):
+        # the CLI writes each survivor's document from its column masks
+        docs = [r.to_json_dict() for r in enumerate_candidates(k, col_min, col_max)]
+        argv = ["enum", "matrix", "--k", str(k), "--col-min", str(col_min), "--col-max", str(col_max)]
+        code, out, _ = run_cli(capsys, *argv, *cache_args(tmp_path))
+        assert code == 0 and out.splitlines() == [json.dumps(d) for d in docs]
+        code, out, _ = run_cli(capsys, *argv, "--format", "tsv", *cache_args(tmp_path))
+        expected = io.StringIO()
+        mnl.cli._emit(docs, "tsv", expected)
+        assert code == 0 and out == expected.getvalue()
+
+    def test_enum_matrix_level_cap_ends_the_stream(self, tmp_path, capsys, monkeypatch):
+        _, out, _ = run_cli(capsys, "enum", "matrix", "--k", "3", *cache_args(tmp_path))
+        full = out.splitlines()
+        monkeypatch.setattr(mnl.automaton, "MAX_MEMO_ENTRIES", 200)
+        code, out, err = run_cli(capsys, "enum", "matrix", "--k", "3", *cache_args(tmp_path))
+        assert code == 1
+        # the levels hold 7, 39, 134, 306, ... prefixes, so level 4 is the first too large
+        assert err.strip() == (
+            "error: more than 200 prefixes of 4 columns; the candidate stream is complete only through 3 columns"
+        )
+        # every report of 2 and 3 columns was printed, in order, and no other
+        width = [len(json.loads(line)["pattern"].split("/")[0]) for line in full]
+        assert out.splitlines() == [line for line, cols in zip(full, width) if cols <= 3]
+        assert sorted(set(width)) == list(range(2, 11)) and width.count(2) + width.count(3) == 113
 
     def test_enum_seq_level_cap_ends_the_stream(self, tmp_path, capsys, monkeypatch):
         _, out, _ = run_cli(capsys, "enum", "seq", "--k", "3", *cache_args(tmp_path))

@@ -16,6 +16,7 @@ from mnl.ordered_graphs import (
     go_family,
     interval_chromatic,
     og_bipartite_reduce,
+    og_bipartite_reduced_degrees,
     og_contains,
     og_ex_exact,
     og_insert_isolated,
@@ -374,6 +375,16 @@ class TestReductions:
             G("n=4;1 3;1 4;2 3;2 4"), Bipartition(frozenset({1, 2}), frozenset({3, 4}))
         )
         assert out.edges == {(1, 4), (2, 4)}
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(graphs_with_patterns())
+    @example((G("n=4;1 3;1 4;2 3;2 4"), P("11/11")))
+    def test_bipartite_reduced_degrees_count_the_reduced_graph(self, case):
+        g, p = case
+        for parts in realizing_bipartitions(g, p):
+            for split in (parts, Bipartition(parts.part_v, parts.part_u)):
+                reduced = og_bipartite_reduce(g, split)
+                assert og_bipartite_reduced_degrees(g, split) == {v: reduced.degree(v) for v in split.part_v}
 
     def test_bipartite_rejects_bad_parts(self):
         with pytest.raises(InvalidInputError):

@@ -159,6 +159,31 @@ class TestEnumerate:
         counts = Counter(r.pattern.num_cols for r in enumerate_candidates(4, 2, 5))
         assert counts == {2: 46, 3: 479, 4: 2430, 5: 7720}
 
+    def test_levels_and_screen_advances_pinned(self, monkeypatch):
+        # k = 3, columns 2..7: each prefix is extended once, and the
+        # patterns of L columns are the level-L prefixes that started every
+        # row.  Rebuilding the construction for every column count visited
+        # 3,206 prefixes and made 10,368 advances.
+        sizes, advances = [], []
+        levels, advance = mnl.pipeline._levels, _PrefixScreen.advance
+
+        def counted_levels(*args):
+            for level in levels(*args):
+                sizes.append(len(level))
+                yield level
+
+        def counted_advance(self, state, mask):
+            advances.append(mask)
+            return advance(self, state, mask)
+
+        monkeypatch.setattr(mnl.pipeline, "_levels", counted_levels)
+        monkeypatch.setattr(_PrefixScreen, "advance", counted_advance)
+        assert sum(1 for _ in enumerate_candidates(3, 2, 7)) == 1805
+        # the last level holds only the 7-column patterns
+        assert sizes == [7, 39, 134, 306, 483, 543, 432]
+        # the empty prefix and every level but the last were extended
+        assert (1 + sum(sizes[:-1]), len(advances)) == (1513, 4819)
+
     def test_stream_deterministic(self):
         a = [str(r.pattern) for r in enumerate_candidates(2, 1, 6)]
         b = [str(r.pattern) for r in enumerate_candidates(2, 1, 6)]
@@ -187,7 +212,8 @@ class TestEnumerate:
             reports = [structural_filter(p) for p in sorted(batch, key=str)]
             kept = [r for r in reports if r.verdict != "rejected"]
             expected += [json.dumps(r.to_json_dict()) for r in kept]
-            screened = list(_construction(k, i, screen))
+            (survivors,) = _construction(k, i, i, screen)
+            screened = [P(text) for text, _ in survivors]
             assert len(set(screened)) == len(screened)
             assert set(screened) == ({r.pattern for r in kept} & constructed) - known_mnl_2row()
         got = [json.dumps(r.to_json_dict()) for r in enumerate_candidates(k, col_min, col_max)]
