@@ -10,22 +10,27 @@ Containment runs on one placement loop, _place, over adjacency bitmasks of
 the host: each needle vertex has a mask of allowed host positions, and its
 candidates are those above the previous image that are adjacent to the
 images of its earlier neighbours.  og_contains first refuses a needle with
-more vertices or edges than the host, then allows needle vertex i only on
-host vertices with at least i's numbers of left and of right neighbours;
-an empty mask refuses at once.  Each graph builds these forms once, from
-one pass over its edges, and keeps them on itself.  A NeedleTable runs
-that screen for a whole set of needles at once: one bitset of needles per
-size and one per distinct vertex demand (k, i, left, right), so a host
-clears every needle a demand refuses with one AND, and only the needles
-left need a placement.
+more vertices, edges or pairs of edges of some order type (crossing,
+nested, disjoint, or sharing the left end, the right end or a middle
+vertex) than the host, since a copy keeps every pair's type.  It then
+allows needle vertex i only on host vertices with at least i's numbers of
+left and of right neighbours; an empty mask refuses at once.  Each graph
+builds these forms once, from one pass over its edges, and keeps them on
+itself.  A NeedleTable runs that screen for a whole set of needles at
+once: one bitset of needles per size, per pair type and count, and per
+distinct vertex demand (k, i, left, right), so a host clears every needle
+a count or a demand refuses with one AND, and only the needles left need
+a placement.
 
 A graph's bipartite realizations of a 0-1 pattern p come from 2-colouring
 each component once; a colouring's matrix is keyed, like p's 8 dihedral
 images (patterns.symmetry_keys), by its dimensions and column masks, read
 off the adjacency bitmasks, so no Pattern01 is built per colouring.  When
 p's own bipartite graph is connected, every member of go_family(p) has a
-single 2-colouring, which realizes p, so go_family keeps them all without
-the test (its docstring has the proof).
+single 2-colouring, which realizes p, so go_realizations keeps them all
+without the test (its docstring has the proof).  go_realizations hands
+back each member's one realizing bipartition with it, so a caller that
+has the family never colours a member again.
 
 The exact search og_ex_exact adds edges in lexicographic order, so a new
 copy of g must map g's last left endpoint L and L's last right neighbour
@@ -56,6 +61,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations
 from math import comb
+from operator import le
 
 from .automaton import (
     MAX_TABLE_ENTRIES,
@@ -117,6 +123,33 @@ class OrderedGraph:
             at_left[d] |= at_left[d + 1]
             at_right[d] |= at_right[d + 1]
         return tuple(at_left[:n]), tuple(at_right[:n])
+
+    @cached_property
+    def _pair_counts(self) -> tuple[int, int, int, int, int, int]:
+        """The numbers of pairs of edges (a, b), (c, d), a <= c, of each
+        order type: sharing the left end (a = c), sharing the right end
+        (b = d), sharing a middle vertex (b = c), disjoint (b < c),
+        crossing (a < c < b < d) and nested (a < c < d < b).
+
+        Vertex v with left left and right right neighbours is the shared
+        left end of C(right, 2) pairs, the shared right end of C(left, 2)
+        and the middle of left * right.  An edge (a, b) lies left of every
+        edge whose left end is above b, the suffix sum of right degrees.
+        It crosses every edge (c, d) with a < c < b < d, which are c's
+        right neighbours above b.  The other pairs are nested."""
+        adj, below, sides = self._forms
+        left_end = right_end = middle = disjoint = crossing = above = 0
+        for b, left, right in reversed(sides):
+            left_end += right * (right - 1) // 2
+            right_end += left * (left - 1) // 2
+            middle += left * right
+            disjoint += left * above  # above: edges with left end above b
+            above += right
+            for a in below[b]:
+                for c in range(a + 1, b):
+                    crossing += (adj[c] >> (b + 1)).bit_count()
+        nested = comb(len(self.edges), 2) - left_end - right_end - middle - disjoint - crossing
+        return left_end, right_end, middle, disjoint, crossing, nested
 
     def degree(self, v: int) -> int:
         return self._forms[0][v].bit_count() if 1 <= v <= self.num_vertices else 0
@@ -184,7 +217,9 @@ def format_ordered_graph(g: OrderedGraph) -> str:
 
 
 def og_key(g: OrderedGraph) -> str:
-    """Cache key: the single-line text form (no symmetry to quotient out)."""
+    """Cache key: the single-line text form, the graph as given.  Reversing
+    g's k vertices (i to k+1-i) is a symmetry, ex_<(n, g) = ex_<(n, rev g),
+    but the key does not quotient it out: g and rev g are cached apart."""
     return str(g)
 
 
@@ -228,11 +263,15 @@ def _place(
 def og_contains(h: OrderedGraph, g: OrderedGraph) -> bool:
     """True iff h has a subgraph order-isomorphic to g (extra edges allowed).
 
-    Screens first: g may not have more vertices or edges than h, and then
-    the room rule, which NeedleTable.screen applies too, bounds where each
-    vertex of g may go.  With n = |V(h)| and k = |V(g)| <= n, vertex i of
-    g, with left left and right right neighbours, may only take the host
-    positions
+    Screens first: g may not have more vertices or edges than h, nor more
+    pairs of edges of any order type (OrderedGraph._pair_counts).  A copy
+    of g is a strictly increasing injection, so it sends distinct edges to
+    distinct edges and keeps every equality and inequality among the ends
+    of two edges: each pair of g's edges lands on a distinct pair of h's
+    edges of the same type.  Then the room rule, which NeedleTable.screen
+    applies too, bounds where each vertex of g may go.  With n = |V(h)|
+    and k = |V(g)| <= n, vertex i of g, with left left and right right
+    neighbours, may only take the host positions
 
         ((2 << (n - k)) - 1) << i & at_left[left] & at_right[right]
 
@@ -243,6 +282,8 @@ def og_contains(h: OrderedGraph, g: OrderedGraph) -> bool:
     and kept on them."""
     k, n = g.num_vertices, h.num_vertices
     if k > n or len(g.edges) > len(h.edges):
+        return False
+    if not all(map(le, g._pair_counts, h._pair_counts)):  # the pair rule
         return False
     _, below, sides = g._forms
     adj = h._forms[0]
@@ -267,7 +308,10 @@ class NeedleTable:
     per (k, i, left, right) that some member with k vertices makes of its
     vertex i with left left and right right neighbours, the bitset of the
     members that make it.  Members that share a demand share its room in a
-    host, so each distinct demand is checked once."""
+    host, so each distinct demand is checked once.  above[t][c], for each
+    of the six pair types t of OrderedGraph._pair_counts, is the bitset of
+    the members with more than c pairs of type t, for c below the most any
+    member has."""
 
     def __init__(self, needles: Iterable[OrderedGraph]) -> None:
         self.members = tuple(needles)
@@ -282,18 +326,30 @@ class NeedleTable:
                 demands[demand] = demands.get(demand, 0) | 1 << j
         self.sizes = tuple((*size, bits) for size, bits in sizes.items())
         self.demands = tuple((*demand, bits) for demand, bits in demands.items())
+        counts = [g._pair_counts for g in self.members]
+        self.above = tuple(
+            tuple(
+                sum(1 << j for j, pairs in enumerate(counts) if pairs[t] > c)
+                for c in range(max((pairs[t] for pairs in counts), default=0))
+            )
+            for t in range(6)
+        )
 
     def screen(self, h: OrderedGraph) -> int:
         """The bitset of the members og_contains(h, member) does not refuse
-        before it places a vertex: those no larger than h in vertices and
-        in edges, less every member with a demand that og_contains's room
-        rule leaves no host position.  A member with k > n is gone before
-        its demands are read, so the rule's n - k is never negative."""
+        before it places a vertex: those no larger than h in vertices, in
+        edges and in pairs of edges of each type, less every member with a
+        demand that og_contains's room rule leaves no host position.  A
+        member with k > n is gone before its demands are read, so the
+        rule's n - k is never negative."""
         n, e = h.num_vertices, len(h.edges)
         live = 0
         for k, count, bits in self.sizes:
             if k <= n and count <= e:
                 live |= bits
+        for above, count in zip(self.above, h._pair_counts):
+            if count < len(above):  # og_contains's pair rule
+                live &= ~above[count]
         at_left, at_right = h._at_least
         for k, i, left, right, bits in self.demands:
             # og_contains's room rule
@@ -609,12 +665,13 @@ def realizing_bipartitions(g: OrderedGraph, p: Pattern01) -> list[Bipartition]:
     return _realizations(g, symmetry_keys(p))
 
 
-def go_family(p: Pattern01) -> frozenset[OrderedGraph]:
-    """Ordered bipartite graphs realizing p: one vertex per row and per
-    column, every interleaving of the two groups along the line, row and
-    column order each taken increasing or decreasing, edges at the ones.
-    Members whose independent-set decomposition realizing p is not unique
-    are discarded.
+def go_realizations(p: Pattern01) -> dict[OrderedGraph, Bipartition]:
+    """Ordered bipartite graphs realizing p, each mapped to its unique
+    realizing bipartition, the one realizing_bipartitions(g, p) lists: one
+    vertex per row and per column, every interleaving of the two groups
+    along the line, row and column order each taken increasing or
+    decreasing, edges at the ones.  Members whose independent-set
+    decomposition realizing p is not unique are discarded.
 
     Only a p whose bipartite graph (rows and columns, an edge per one) is
     disconnected runs that uniqueness test, on the symmetry_keys of p.  If
@@ -623,8 +680,8 @@ def go_family(p: Pattern01) -> frozenset[OrderedGraph]:
     2-colouring: the row positions against the column positions.  Its
     matrix, with either side as the rows, is p with its rows and columns
     each in one direction or reversed, perhaps transposed, so it lies in
-    p's dihedral orbit.  So every member realizes p exactly once and is
-    kept."""
+    p's dihedral orbit.  So every member realizes p exactly once, by the
+    side that holds vertex 1 against the other, and is kept."""
     if not p.ones:
         raise InvalidInputError("pattern with no ones has no realizations")
     k, c = p.num_rows, p.num_cols
@@ -633,9 +690,11 @@ def go_family(p: Pattern01) -> frozenset[OrderedGraph]:
     if len(row_has) < k or len(col_has) < c:
         raise InvalidInputError("pattern has an all-zero row or column")
     n = k + c
-    members = set()
+    members: dict[OrderedGraph, Bipartition] = {}
     for row_positions in combinations(range(1, n + 1), k):
         col_positions = tuple(v for v in range(1, n + 1) if v not in row_positions)
+        sides = frozenset(row_positions), frozenset(col_positions)
+        parts = Bipartition(*sides) if row_positions[0] == 1 else Bipartition(*sides[::-1])
         for row_dir in (1, -1):
             rp = row_positions if row_dir == 1 else row_positions[::-1]
             for col_dir in (1, -1):
@@ -644,7 +703,7 @@ def go_family(p: Pattern01) -> frozenset[OrderedGraph]:
                     (min(rp[r - 1], cp[cc - 1]), max(rp[r - 1], cp[cc - 1]))
                     for r, cc in p.ones
                 )
-                members.add(OrderedGraph(n, edges))
+                members[OrderedGraph(n, edges)] = parts
     rows, grown = 0, 1  # the rows reached from row 1 through shared columns
     while grown != rows:
         rows = grown
@@ -652,9 +711,15 @@ def go_family(p: Pattern01) -> frozenset[OrderedGraph]:
             if col & rows:
                 grown |= col
     if rows == (1 << k) - 1:  # every column has a one, so all are reached too
-        return frozenset(members)
+        return members
     orbit = symmetry_keys(p)
-    return frozenset(g for g in members if len(_realizations(g, orbit)) == 1)
+    found = {g: _realizations(g, orbit) for g in members}
+    return {g: parts[0] for g, parts in found.items() if len(parts) == 1}
+
+
+def go_family(p: Pattern01) -> frozenset[OrderedGraph]:
+    """The members of go_realizations(p), whose docstring defines them."""
+    return frozenset(go_realizations(p))
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,11 @@ from .ordered_graphs import (
     NeedleTable,
     OrderedGraph,
     go_family,
+    go_realizations,
     og_bipartite_reduced_degrees,
     og_contains,
-    realizing_bipartitions,
+    # realizing_bipartitions is not called here; perfbench's traced run rebinds it on this module.
+    realizing_bipartitions,  # noqa: F401
     underlying_is_k22,
 )
 from .patterns import (
@@ -491,13 +493,15 @@ def enumerate_og_candidates(k: int, col_min: int, col_max: int) -> Iterator[Cand
     """Bipartite ordered-graph candidates: every realization of every
     non-rejected k-row matrix candidate, run through og_structural_filter
     with its unique realizing bipartition (the part holding vertex 1 plays
-    the role of part_u).  Each graph is emitted once.
+    the role of part_u), as go_realizations hands it back.  Each graph is
+    emitted once.
 
-    go_family is the same for every member of a dihedral orbit: the
+    go_realizations is the same for every member of a dihedral orbit: the
     reflections are its row and column direction flips, a transpose swaps
-    which positions hold rows, and its uniqueness test takes the whole
-    orbit.  So only an orbit's first candidate is expanded; every graph a
-    later member would give is already seen."""
+    which positions hold rows, and its uniqueness test, like the
+    bipartition it hands back, takes the whole orbit.  So only an orbit's
+    first candidate is expanded; every graph a later member would give is
+    already seen."""
     seen: set[str] = set()  # texts, so each graph is freed with its report
     expanded: set[str] = set()
     for report in enumerate_candidates(k, col_min, col_max):
@@ -507,11 +511,11 @@ def enumerate_og_candidates(k: int, col_min: int, col_max: int) -> Iterator[Cand
         if orbit in expanded:
             continue
         expanded.add(orbit)
-        for g in sorted(go_family(p), key=str):
+        realizations = go_realizations(p)
+        for g in sorted(realizations, key=str):
             if str(g) in seen:
                 continue
             seen.add(str(g))
-            parts = realizing_bipartitions(g, p)[0]
-            og_report = og_structural_filter(g, parts)
+            og_report = og_structural_filter(g, realizations[g])
             if og_report.verdict != "rejected":
                 yield og_report

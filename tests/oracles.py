@@ -162,6 +162,29 @@ def naive_og_contains(h: OrderedGraph, g: OrderedGraph) -> bool:
     return False
 
 
+# the order pattern of the ends (a, b, c, d) of two edges, (a, b) < (c, d),
+# each end replaced by its rank among the distinct ends -> pair type, in the
+# order of OrderedGraph._pair_counts
+PAIR_TYPES = {
+    (0, 1, 0, 2): "shared left end",
+    (0, 2, 1, 2): "shared right end",
+    (0, 1, 1, 2): "shared middle vertex",
+    (0, 1, 2, 3): "disjoint",
+    (0, 2, 1, 3): "crossing",
+    (0, 3, 1, 2): "nested",
+}
+
+
+def naive_pair_types(g: OrderedGraph) -> tuple[int, ...]:
+    """The number of pairs of g's edges of each type of PAIR_TYPES, in its
+    order, from the order pattern of every pair's four ends."""
+    counts = dict.fromkeys(PAIR_TYPES.values(), 0)
+    for first, second in combinations(sorted(g.edges), 2):
+        ends = sorted({*first, *second})
+        counts[PAIR_TYPES[tuple(ends.index(x) for x in (*first, *second))]] += 1
+    return tuple(counts.values())
+
+
 def naive_og_ex(n: int, g: OrderedGraph) -> int:
     slots = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     best = 0

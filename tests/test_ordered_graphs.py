@@ -32,6 +32,7 @@ from oracles import (
     naive_interval_chromatic,
     naive_og_contains,
     naive_og_ex,
+    naive_pair_types,
     naive_realizing_bipartitions,
 )
 
@@ -132,6 +133,13 @@ class TestForms:
         assert og_contains(h, g) == naive_og_contains(h, g)
         assert og_contains(g, h) == naive_og_contains(g, h)
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(max_n=9))
+    @example(G("n=4;1 3;2 4"))
+    @example(G("n=4;1 4;2 3"))
+    def test_pair_counts_match_pair_oracle(self, g):
+        assert g._pair_counts == naive_pair_types(g)
+
     def test_equal_graphs_with_and_without_forms(self):
         built, fresh = G("n=5;1 3;2 4;2 5"), G("n=5;2 5;1 3;2 4")
         assert og_contains(built, G("n=4;1 3;2 4")) and str(built) and built.degree(2) == 2
@@ -149,18 +157,21 @@ class TestNeedleTable:
     @example(G("n=4;1 3;2 4"), [G("n=3;1 2;2 3"), G("n=4;1 3;2 4"), G("n=4;1 2;3 4")])
     @example(G("n=3;1 2;2 3"), [G("n=4;1 3;2 4"), G("n=5;1 2;3 4;4 5"), G("n=6;1 6")])
     @example(G("n=7;3 5"), [G("n=4;1 2;3 4"), G("n=2;1 2")])
+    @example(G("n=4;1 4;2 3"), [G("n=4;1 3;2 4")])
     def test_screen_keeps_every_contained_needle(self, h, needles):
         # the examples: a host equal to a needle, a host smaller than every
-        # needle, and a host whose one edge gives every vertex of the first
-        # needle room, though that needle has more edges
+        # needle, a host whose one edge gives every vertex of the first
+        # needle room, though that needle has more edges, and a nested host
+        # of the crossing needle's size and vertex demands, which only the
+        # pair rule refuses
         table = NeedleTable(needles)
         live = table.screen(h)
         for j, m in enumerate(table.members):
             if naive_og_contains(h, m):
                 assert live >> j & 1, str(m)
         # when every placement succeeds, og_contains answers its screen
-        # alone: the size checks and the room rule, which the table must
-        # apply alike
+        # alone: the size checks, the pair rule and the room rule, which
+        # the table must apply alike
         with mock.patch.object(mnl.ordered_graphs, "_place", return_value=True):
             screened = sum(1 << j for j, m in enumerate(table.members) if og_contains(h, m))
         assert live == screened

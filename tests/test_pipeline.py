@@ -13,6 +13,7 @@ from mnl.ordered_graphs import (
     Bipartition,
     check_bipartition,
     go_family,
+    go_realizations,
     parse_ordered_graph,
     realizing_bipartitions,
 )
@@ -38,6 +39,7 @@ from mnl.pipeline import (
 from oracles import (
     naive_contains,
     naive_og_contains,
+    naive_realizing_bipartitions,
     naive_seq_contains,
     sum_matrix_bound,
     sum_og_bound,
@@ -50,6 +52,15 @@ G = parse_ordered_graph
 
 def check_status(report, name):
     return next(c.status for c in report.checks if c.name == name)
+
+
+def assert_hands_back_unique_bipartitions(p):
+    """go_realizations(p) maps each member of go_family(p) to the only
+    bipartition the subset oracle finds realizing p."""
+    realizations = go_realizations(p)
+    assert go_family(p) == frozenset(realizations)
+    for g, parts in realizations.items():
+        assert naive_realizing_bipartitions(g, p) == [parts], (str(p), str(g))
 
 
 class TestKnownSet:
@@ -461,11 +472,26 @@ class TestOgEnumeration:
             assert families.setdefault(canonical_key(p), family) == family, str(p)
         assert len(families) < len(patterns)
 
+    @pytest.mark.parametrize("k, col_min, col_max", [(2, *_col_range(2)), (3, 2, 4)])
+    def test_go_realizations_hand_back_the_unique_bipartition(self, k, col_min, col_max):
+        # every orbit the stream expands, whose bipartitions it no longer
+        # recomputes
+        firsts = {}
+        for r in enumerate_candidates(k, col_min, col_max):
+            firsts.setdefault(canonical_key(r.pattern), r.pattern)
+        for p in firsts.values():
+            assert_hands_back_unique_bipartitions(p)
+
+    @pytest.mark.parametrize("text", ["10/01", "1010/0101", "100/001/010"])
+    def test_go_realizations_of_disconnected_patterns(self, text):
+        assert_hands_back_unique_bipartitions(parse_pattern(text))
+
     def test_og_contains_calls_pinned(self, monkeypatch):
         # og_structural_filter screens each graph against the 73 known
-        # members at once (43 distinct vertex demands) and calls og_contains
-        # only on the members that screen keeps: 3,754 calls at k = 2, where
-        # one call per member would make 43,143
+        # members at once (43 distinct vertex demands, and their counts of
+        # edge pairs of each order type) and calls og_contains only on the
+        # members that screen keeps: 998 calls at k = 2, where one call per
+        # member would make 43,143
         table = _known_og_table()
         assert table.members == tuple(_known_og_members())
         assert (len(table.members), len(table.demands)) == (73, 43)
@@ -478,7 +504,7 @@ class TestOgEnumeration:
 
         monkeypatch.setattr(mnl.pipeline, "og_contains", counted)
         reports = list(enumerate_og_candidates(2, *_col_range(2)))
-        assert (len(reports), len(calls)) == (592, 3754)
+        assert (len(reports), len(calls)) == (592, 998)
 
     def test_no_duplicates(self):
         reports = list(enumerate_og_candidates(2, 2, 4))

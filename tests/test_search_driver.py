@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import mnl.cli
+import mnl.pipeline
 from mnl.errors import InvalidInputError
 from mnl.extremal import ex_branch_bound
 from mnl.ordered_graphs import og_ex_exact, parse_ordered_graph
@@ -125,10 +126,17 @@ def test_benchmark_hooks_count_engine_nodes_through_the_cli(tmp_path, capsys, mo
 
 def test_benchmark_hooks_see_the_og_stream_through_the_cli(capsys, monkeypatch):
     """Every name the traced benchmark rebinds for the ordered-graph stream
-    must still be looked up there, or its layer silently reads zero."""
+    must still be looked up there, or its layer silently reads zero.  The
+    stream calls go_family only to build the known members, so the
+    pipeline's caches are cleared first, as the benchmark clears them
+    before every stream."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
     from tracer import Tracer
+
+    for value in vars(mnl.pipeline).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
 
     tracer = Tracer()
     layers.install(tracer)
