@@ -26,12 +26,16 @@ track_search is the memoized search over such tracks that the matrix
 engine and the ordered-graph vertex search share, each with its own tables.
 Its docstring states the fail-low memo rules, which the sequence engine's
 own search (sequences.seq_ex_exact) follows too.
+
+prefix_levels is the level-by-level walk that the matrix and sequence
+candidate streams share, each with its own one-symbol step.
 """
 from __future__ import annotations
 
 from itertools import combinations, islice, permutations
 from math import comb, perm
 from operator import mul
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import InvalidInputError
 from .records import BudgetExhausted
@@ -272,3 +276,78 @@ def sequence_automaton(letters: tuple[int, ...], num_symbols: int) -> tuple[int,
             pos = j * tracks + t
             bits[image[x - 1]][pos >> 3] |= 1 << (pos & 7)
     return tracks, [int.from_bytes(b, "little") for b in bits]
+
+
+def prefix_levels(
+    start: Hashable, extend: Callable[[Hashable], Iterable[tuple[int, Hashable, int]]], last: int, unit: str,
+) -> Iterator[Iterator[tuple[int, ...]]]:
+    """The prefixes of at most last symbols that extend grows from start,
+    level by level, yielding each level's complete prefixes as symbol
+    tuples.
+
+    extend(state) gives the steps out of a state as (symbol, next state,
+    need): a symbol below 256, and the fewest further symbols that complete
+    a prefix in the next state, 0 when it is complete.  It is called once
+    per state, and states are numbered as they first appear, so a prefix is
+    one int: its state's number above its symbols, one byte each, first
+    symbol highest.  Level L + 1 is each level-L prefix extended once, in
+    order, by the steps whose need fits the symbols still allowed.  After a
+    level is built, its complete prefixes are yielded, read off the level
+    as they are asked for, so two levels are held at once.  The walk stops
+    at an empty level or after level last, and a level of more than
+    MAX_MEMO_ENTRIES prefixes raises InvalidInputError naming the last
+    level yielded.
+    """
+    limit = MAX_MEMO_ENTRIES
+    numbers = {start: 0}
+    states = [start]
+    complete = [False]  # number -> whether its prefixes are complete
+    steps: list[list[tuple[int, int, int]] | None] = [None]  # number -> (symbol, number, need)
+
+    def expand(i: int) -> list[tuple[int, int, int]]:
+        out = []
+        for symbol, state, need in extend(states[i]):
+            j = numbers.get(state)
+            if j is None:
+                j = numbers[state] = len(states)
+                states.append(state)
+                complete.append(False)
+                steps.append(None)
+            complete[j] = not need  # the start's, too, once a step reaches it
+            out.append((symbol, j, need))
+        steps[i] = out
+        return out
+
+    level = [0]
+    for length in range(1, last + 1):
+        shift = 8 * (length - 1)
+        head_mask = (1 << shift) - 1
+        next_shift = shift + 8
+        room = last - length
+        nxt: list[int] = []
+        for prefix in level:
+            i = prefix >> shift
+            head = (prefix & head_mask) << 8
+            ext = steps[i]
+            if ext is None:
+                ext = expand(i)
+            for symbol, j, need in ext:
+                if need <= room:
+                    nxt.append(j << next_shift | head | symbol)
+            if len(nxt) > limit:
+                raise InvalidInputError(
+                    f"more than {limit} prefixes of {length} {unit}; "
+                    f"the candidate stream is complete only through {length - 1} {unit}"
+                )
+        if not nxt:
+            return
+        level = nxt
+        yield _complete(level, complete, length)
+
+
+def _complete(level: list[int], complete: list[bool], length: int) -> Iterator[tuple[int, ...]]:
+    """The complete prefixes of a level of length-symbol prefixes, as
+    prefix_levels packs them."""
+    shift = 8 * length
+    mask = (1 << shift) - 1
+    return (tuple((prefix & mask).to_bytes(length, "big")) for prefix in level if complete[prefix >> shift])

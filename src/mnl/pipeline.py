@@ -9,9 +9,9 @@ matrices are recognized exactly (reflections counted as distinct patterns,
 matching how they are usually listed).
 
 The matrix stream does not filter every pattern the counting bound counts:
-it builds the leftmost-one construction level by level, each prefix of
-columns extended once, and cuts a prefix at the first check it fails that
-more columns cannot mend (a run of 3 or an abab in the scan word, a known
+it builds the leftmost-one construction with automaton.prefix_levels, one
+column at a time, and cuts a prefix at the first check it fails that more
+columns cannot mend (a run of 3 or an abab in the scan word, a known
 2-row matrix contained).  A survivor passes every check of
 structural_filter by construction, so the stream writes its report, or its
 JSON document, from its column masks without running the filter again;
@@ -19,7 +19,7 @@ only the known seven, seeded at k = 2, go through structural_filter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from types import SimpleNamespace
@@ -50,7 +50,6 @@ from .patterns import (
     scan_letters,
     scan_reduction,
 )
-from .records import GrowthReport
 from .sequences import Sequence, blocks, format_letters, seq_contains
 
 ABAB = Sequence((1, 2, 1, 2))
@@ -68,13 +67,9 @@ class CandidateReport:
     pattern: Union[Pattern01, OrderedGraph]
     checks: tuple[FilterCheck, ...]
     verdict: str  # rejected | structural-candidate | known-mnl
-    growth: GrowthReport | None = field(default=None)
 
     def to_json_dict(self) -> dict:
-        out = _document(str(self.pattern), self.checks, self.verdict)
-        if self.growth is not None:
-            out["growth"] = self.growth.to_json_dict()
-        return out
+        return _document(str(self.pattern), self.checks, self.verdict)
 
 
 def _document(pattern: str, checks: tuple[FilterCheck, ...], verdict: str) -> dict:
@@ -184,11 +179,11 @@ class _PrefixScreen:
     int: the last scan letter as a row bit in the low k bits, its run length
     in the next two, then the abab tracks' packed state
     (automaton.sequence_automaton), then each known matrix's packed tracks
-    (automaton.matrix_automaton).  advance answers a (state, mask) pair it
-    has seen from its memo and steps every track only on a miss.  The scan
-    word is built left to right, so a prefix's word is a prefix of the full
-    word; its letters stay raw row numbers, since renaming changes neither
-    runs nor abab.
+    (automaton.matrix_automaton).  advance steps every track, once per
+    construction state and column (_construction).  The scan word is built
+    left to right, so a prefix's word is a prefix of the full word; its
+    letters stay raw row numbers, since renaming changes neither runs nor
+    abab.
     """
 
     def __init__(self, k: int) -> None:
@@ -205,18 +200,9 @@ class _PrefixScreen:
             self.known.append((tracks, at, tracks * m.num_cols))
             self.start |= ((1 << tracks) - 1) << shift
             shift += tracks * m.num_cols
-        self.memo: dict[tuple[int, int], int | None] = {}
 
     def advance(self, state: int, mask: int) -> int | None:
         """The state after one more column, or None once a check fails."""
-        key = state, mask
-        try:
-            return self.memo[key]
-        except KeyError:
-            nxt = self.memo[key] = self._step(state, mask)
-            return nxt
-
-    def _step(self, state: int, mask: int) -> int | None:
         k = self.k
         prev = state & ((1 << k) - 1)
         letter = _scan_letter(prev, mask)
@@ -246,58 +232,38 @@ class _PrefixScreen:
 _UNSCREENED = SimpleNamespace(start=0, advance=lambda state, mask: state)
 
 
-def _levels(k: int, last: int, screen) -> Iterator[list[tuple[tuple[int, ...], int, int]]]:
-    """Levels 1 to last of the leftmost-one construction.  Level L holds the
-    prefixes of L columns that the screen keeps, as (column masks, rows
-    started, screen state): each level-(L-1) prefix extended once by every
-    column that may follow it.  A column starts some rows that have no one
-    yet and adds at most one extra one in a row already started, exactly
-    one if it starts no row; so column 1 starts a row.  The construction's
-    patterns of L columns are the level-L prefixes that started every row,
-    and the last level holds only those.  Level L is built after the caller
-    has taken level L-1, and one of more than automaton.MAX_MEMO_ENTRIES
-    prefixes raises InvalidInputError."""
-    full = (1 << k) - 1
-    limit = automaton.MAX_MEMO_ENTRIES
-    options: dict[int, list[tuple[int, int]]] = {}  # rows started -> (column, rows started after it)
-    level = [((), 0, screen.start)]
-    for length in range(1, last + 1):
-        nxt = []
-        for masks, started, state in level:
-            opts = options.get(started)
-            if opts is None:
-                held = [1 << r for r in range(k) if started >> r & 1]
-                opts = options[started] = [
-                    (new | extra, started | new)
-                    for new in range(full + 1) if not new & started
-                    for extra in held + [0] * (new > 0)
-                ]
-            for col, now in opts:
-                if length < last or now == full:
-                    after = screen.advance(state, col)
-                    if after is not None:
-                        nxt.append((masks + (col,), now, after))
-            if len(nxt) > limit:
-                raise InvalidInputError(
-                    f"more than {limit} prefixes of {length} columns; "
-                    f"the candidate stream is complete only through {length - 1} columns"
-                )
-        level = nxt
-        yield level
-
-
 def _construction(k: int, col_min: int, col_max: int, screen) -> Iterator[list[tuple[str, tuple[int, ...]]]]:
     """The construction's patterns of each column count from col_min to
-    col_max that the screen keeps, as (row text, column masks).  Each
-    pattern arises exactly once.  A prefix _PrefixScreen cuts only leads to
-    patterns structural_filter rejects, or to one of the known 2-row
-    matrices (each contains itself)."""
+    col_max that the screen keeps, as (row text, column masks), built by
+    automaton.prefix_levels.  A column starts some rows that have no one
+    yet and adds at most one extra one in a row already started, exactly
+    one if it starts no row; so column 1 starts a row.  A prefix's state is
+    (rows started, screen state), and it is complete once every row is
+    started.  Each pattern arises exactly once.  A prefix _PrefixScreen
+    cuts only leads to patterns structural_filter rejects, or to one of the
+    known 2-row matrices (each contains itself).  A column is one byte, so
+    k is at most 8."""
+    if k > 8:
+        raise InvalidInputError(f"the matrix construction takes at most 8 rows, got k={k}")
     full = (1 << k) - 1
     column = lru_cache(maxsize=None)(lambda mask: format(mask, f"0{k}b")[::-1])  # its rows' digits, row 1 first
-    for i, level in enumerate(_levels(k, col_max, screen), 1):
+
+    def extend(state: tuple[int, int]) -> Iterator[tuple[int, tuple[int, int], int]]:
+        started, at = state
+        held = [1 << r for r in range(k) if started >> r & 1]
+        for new in range(full + 1):
+            if not new & started:
+                now = started | new
+                for extra in held + [0] * (new > 0):
+                    after = screen.advance(at, new | extra)
+                    if after is not None:
+                        yield new | extra, (now, after), int(now != full)
+
+    levels = automaton.prefix_levels((0, screen.start), extend, col_max, "columns")
+    for i in range(1, col_max + 1):
+        complete = next(levels, ())  # none after an empty level
         if i >= col_min:
-            yield [("/".join(map("".join, zip(*map(column, masks)))), masks)
-                   for masks, started, _ in level if started == full]
+            yield [("/".join(map("".join, zip(*map(column, masks)))), masks) for masks in complete]
 
 
 def _pattern(k: int, masks: tuple[int, ...]) -> Pattern01:
@@ -344,7 +310,7 @@ def enumerate_candidates(k: int, col_min: int, col_max: int) -> Iterator[Candida
     """Stream non-rejected candidate reports for k-row patterns with column
     counts in [col_min, col_max], in column-count-then-row-string order.
 
-    The construction is built level by level (_levels), each prefix
+    The construction is built level by level (_construction), each prefix
     extended once and cut at the first monotone check of structural_filter
     it fails (_PrefixScreen); the stream is the same as filtering every
     construction pattern.  Each survivor passes all six checks, and its

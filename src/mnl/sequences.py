@@ -18,10 +18,8 @@ word's continuation is at most Ex(u, L) long, L the symbols still live; the
 search solves the boards on fewer symbols first for these ceilings, and its
 memo keeps the bounds that cut subtrees give apart from exact values, under
 automaton.track_search's fail-low rules.  The candidate stream grows
-its words level by level, all valid prefixes of one length at a time, and
-steps each prefix once; it holds two levels, and ends with
-InvalidInputError rather than hold one of more than MAX_MEMO_ENTRIES
-prefixes.
+its words with automaton.prefix_levels, stepping each condition state
+once per letter.
 
 Text format: lowercase letters a-z (a=1, b=2, ...) for alphabets up to 26,
 comma-separated positive integers otherwise.  Parsing normalizes, so "bab"
@@ -31,9 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import merge
+from itertools import chain
 from typing import Iterable, Iterator
 
-from .automaton import MAX_MEMO_ENTRIES, memo_capacity, sequence_automaton
+from .automaton import memo_capacity, prefix_levels, sequence_automaton
 from .errors import InvalidInputError, InvalidTransformationError
 from .records import DEFAULT_NODE_BUDGET, BudgetExhausted, ExRecord, run_search
 
@@ -344,47 +343,22 @@ def insert_repeat(u: Sequence, symbol: int, gap_index: int) -> Sequence:
 
 def _candidate_words(k: int, segment_cap: int) -> Iterator[tuple[int, ...]]:
     """The words of mnl_seq_candidates but the injected ababa, in
-    length-then-lexicographic order, built level by level.
+    length-then-lexicographic order, from automaton.prefix_levels.
 
-    Every condition of the stream also holds for prefixes.  So the valid
-    prefixes of length L + 1 are those of length L, in lexicographic order,
-    each extended by increasing letters, and they come out in lexicographic
-    order too; the ones over all k letters are yielded as the level is
-    built.  A prefix is dropped when the k - used letters it lacks no
-    longer fit before length 2 * segment_cap.
-
-    A prefix's extensions depend only on its condition state: the ababa
-    track state, its number of runs, the largest letter used, its last
-    letter and whether that letter ends a run of 2.  These states are
-    interned as they appear, and each one is stepped on the automaton once
-    per letter, so a prefix is one int: its state's number above its
-    letters, one byte each, first letter highest.  sequence_automaton
-    refuses ababa over more than 94 letters, so a letter fits in a byte.
-    Two levels are held at once, and a level of more than
-    MAX_MEMO_ENTRIES prefixes ends the stream with InvalidInputError naming
-    the last complete length.
+    Every condition of the stream also holds for prefixes, so the valid
+    prefixes one letter longer are the valid ones extended by increasing
+    letters, in lexicographic order.  A prefix's extensions depend only on
+    its condition state: the ababa track state, its number of runs, the
+    largest letter used, its last letter and whether that letter ends a
+    run of 2.  A prefix needs the k - used letters it lacks.
+    sequence_automaton refuses ababa over more than 94 letters, so a letter
+    fits in a byte.
     """
     tracks, at = sequence_automaton(ABABA, k)
     done = tracks * len(ABABA)
-    max_len = 2 * segment_cap
-    limit = MAX_MEMO_ENTRIES
-    states: list[tuple[int, int, int, int, bool]] = []  # number -> condition state
-    numbers: dict[tuple[int, int, int, int, bool], int] = {}
-    # number -> (letter, next state's number, letters still missing) per
-    # valid extension; None until first asked for
-    steps: list[list[tuple[int, int, int]] | None] = []
 
-    def number(cond: tuple[int, int, int, int, bool]) -> int:
-        found = numbers.get(cond)
-        if found is None:
-            found = numbers[cond] = len(states)
-            states.append(cond)
-            steps.append(None)
-        return found
-
-    def extensions(i: int) -> list[tuple[int, int, int]]:
-        state, num_runs, used, last, doubled = states[i]
-        out = []
+    def extend(cond: tuple[int, int, int, int, bool]) -> Iterator[tuple[int, tuple, int]]:
+        state, num_runs, used, last, doubled = cond
         for x in range(1, min(used + 1, k) + 1):
             if x == last:
                 if doubled:
@@ -398,39 +372,10 @@ def _candidate_words(k: int, segment_cap: int) -> Iterator[tuple[int, ...]]:
             nxt = state ^ moved | moved << tracks
             if not nxt >> done:
                 new_used = max(used, x)
-                out.append((x, number((nxt, new_runs, new_used, x, x == last)), k - new_used))
-        steps[i] = out
-        return out
+                yield x, (nxt, new_runs, new_used, x, x == last), k - new_used
 
-    level = [number(((1 << tracks) - 1, 0, 0, 0, False))]
-    length = 0
-    while level and length < max_len:
-        shift = 8 * length
-        letters_mask = (1 << shift) - 1
-        next_shift = shift + 8
-        room = max_len - length - 1  # letters that may still follow the new one
-        keep = room > 0
-        next_level: list[int] = []
-        for prefix in level:
-            i = prefix >> shift
-            head = (prefix & letters_mask) << 8
-            ext = steps[i]
-            if ext is None:
-                ext = extensions(i)
-            for x, j, missing in ext:
-                if missing <= room:
-                    word = head | x
-                    if not missing:
-                        yield tuple(word.to_bytes(length + 1, "big"))
-                    if keep:
-                        next_level.append(j << next_shift | word)
-            if len(next_level) > limit:
-                raise InvalidInputError(
-                    f"more than {limit} prefixes of length {length + 1}; "
-                    f"the candidate stream is complete only through length {length}"
-                )
-        level = next_level
-        length += 1
+    start = ((1 << tracks) - 1, 0, 0, 0, False)
+    return chain.from_iterable(prefix_levels(start, extend, 2 * segment_cap, "letters"))
 
 
 def mnl_seq_candidates(k: int, segment_cap: int) -> Iterator[Sequence]:
@@ -444,12 +389,10 @@ def mnl_seq_candidates(k: int, segment_cap: int) -> Iterator[Sequence]:
     order.  This is a superset search tool: emitted sequences are candidates,
     not certified minimally non-linear.
 
-    The words are built level by level, each valid prefix extended once, so
-    the stream holds the prefixes of two lengths at a time.  A level of more
-    than automaton.MAX_MEMO_ENTRIES prefixes, the engines' memory bound,
-    ends the stream with InvalidInputError once every word up to the last
-    complete length, which the message names, has been emitted; some words
-    one letter longer may have been emitted before it.
+    The words come from automaton.prefix_levels, so a level of more than
+    automaton.MAX_MEMO_ENTRIES prefixes, the engines' memory bound, ends
+    the stream with InvalidInputError once every word up to the length the
+    message names, and no longer one, has been emitted.
     """
     if k < 2:
         raise InvalidInputError(f"k must be >= 2, got {k}")

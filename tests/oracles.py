@@ -285,3 +285,24 @@ def naive_cache_get(path, key: str, kind: str, n: int) -> ExRecord | None:
             if best is None or (rec.exact, rec.value) > (best.exact, best.value):
                 best = rec
     return best
+
+
+def naive_prefix_levels(start, extend, last: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """automaton.prefix_levels by plain breadth-first search over tuples:
+    level L lists, in order, every prefix of L symbols that extend grows
+    from start whose need is at most last - L, as (symbols, need).  The
+    list ends before the first empty level."""
+    levels = []
+    frontier = [((), start)]
+    for length in range(1, last + 1):
+        grown = [
+            (word + (symbol,), state, need)
+            for word, at in frontier
+            for symbol, state, need in extend(at)
+            if need <= last - length
+        ]
+        if not grown:
+            break
+        levels.append([(word, need) for word, _, need in grown])
+        frontier = [(word, state) for word, state, _ in grown]
+    return levels

@@ -1,4 +1,5 @@
-"""The subsequence-automaton kernel against the naive oracles, and the
+"""The subsequence-automaton kernel against the naive oracles, the
+level-by-level prefix driver against a plain breadth-first walk, and the
 up-front refusal of tables too large to build."""
 import tracemalloc
 from math import comb
@@ -6,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import mnl.automaton
 from mnl.automaton import (
     DEAD,
     MAX_TABLE_ENTRIES,
@@ -13,6 +15,7 @@ from mnl.automaton import (
     completion_term,
     matrix_automaton,
     matrix_table_entries,
+    prefix_levels,
     sequence_automaton,
 )
 from mnl.cli import main
@@ -21,7 +24,15 @@ from mnl.extremal import ex_branch_bound, ex_on_member, search_member
 from mnl.patterns import Pattern01, parse_pattern, symmetry_variants
 from mnl.sequences import Sequence, parse_sequence, seq_ex_exact
 
-from oracles import naive_completion, naive_contains, naive_ex, naive_seq_contains, naive_seq_ex, tree_ex
+from oracles import (
+    naive_completion,
+    naive_contains,
+    naive_ex,
+    naive_prefix_levels,
+    naive_seq_contains,
+    naive_seq_ex,
+    tree_ex,
+)
 
 CHECK = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 SEARCH = settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -196,6 +207,71 @@ def test_seq_ex_exact_on_two_to_four_letters_matches_naive_seq_ex(letters, n):
     u = Sequence.normalized(letters)
     rec = seq_ex_exact(u, n)
     assert rec.exact and rec.value == naive_seq_ex(u.letters, n)
+
+
+@st.composite
+def extension_tables(draw):
+    """An extend over at most 6 states: per state its steps as (symbol,
+    next state), and per state its need; with a start and a last level."""
+    n = draw(st.integers(1, 6))
+    needs = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    steps = st.lists(st.tuples(st.integers(0, 255), st.integers(0, n - 1)), max_size=4)
+    table = draw(st.lists(steps, min_size=n, max_size=n))
+    return needs, table, draw(st.integers(0, n - 1)), draw(st.integers(0, 6))
+
+
+def table_extend(needs, table, calls):
+    def extend(state):
+        calls.append(state)
+        return [(symbol, nxt, needs[nxt]) for symbol, nxt in table[state]]
+    return extend
+
+
+def complete_words(levels):
+    return [[word for word, need in level if not need] for level in levels]
+
+
+@CHECK
+@given(extension_tables())
+@example(([0], [[(255, 0)]], 0, 3))  # the largest symbol, first and later
+# state 1 is met after 1 symbol and after 2, so its steps are reused at
+# another length
+@example(([0, 1, 1, 0], [[(1, 1), (2, 2)], [(3, 3)], [(4, 1)], []], 0, 3))
+def test_prefix_levels_match_breadth_first_walk(case):
+    needs, table, start, last = case
+    calls, naive_calls = [], []
+    # every level is read only after the walk ends, so each must keep its own length
+    held = list(prefix_levels(start, table_extend(needs, table, calls), last, "symbols"))
+    expected = naive_prefix_levels(start, table_extend(needs, table, naive_calls), last)
+    # the same levels in the same order, ending at the first empty level
+    assert [list(level) for level in held] == complete_words(expected)
+    # extend runs once per state the walk extends
+    assert sorted(calls) == sorted(set(naive_calls))
+
+
+@CHECK
+@given(extension_tables(), st.integers(0, 8))
+def test_prefix_levels_cap_names_the_last_level_yielded(case, limit):
+    needs, table, start, last = case
+    expected = naive_prefix_levels(start, table_extend(needs, table, []), last)
+    over = [length for length, level in enumerate(expected, 1) if len(level) > limit]
+    yielded = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mnl.automaton, "MAX_MEMO_ENTRIES", limit)
+        levels = prefix_levels(start, table_extend(needs, table, []), last, "symbols")
+        if over:
+            with pytest.raises(InvalidInputError) as refused:
+                for level in levels:
+                    yielded.append(list(level))
+            cut = over[0]
+            assert str(refused.value) == (
+                f"more than {limit} prefixes of {cut} symbols; "
+                f"the candidate stream is complete only through {cut - 1} symbols"
+            )
+        else:
+            yielded = [list(level) for level in levels]
+    # every level before the cut one, and nothing of it
+    assert yielded == complete_words(expected)[:over[0] - 1 if over else None]
 
 
 @pytest.fixture

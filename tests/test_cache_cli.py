@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 import mnl.automaton
 import mnl.cli
-import mnl.sequences
 from mnl.cache import CacheStore
 from mnl.cli import main
 from mnl.ordered_graphs import parse_ordered_graph
@@ -450,20 +449,31 @@ class TestCliBasics:
     def test_enum_seq_level_cap_ends_the_stream(self, tmp_path, capsys, monkeypatch):
         _, out, _ = run_cli(capsys, "enum", "seq", "--k", "3", *cache_args(tmp_path))
         full = [json.loads(line)["sequence"] for line in out.splitlines()]
-        monkeypatch.setattr(mnl.sequences, "MAX_MEMO_ENTRIES", 100)
+        monkeypatch.setattr(mnl.automaton, "MAX_MEMO_ENTRIES", 100)
         code, out, err = run_cli(capsys, "enum", "seq", "--k", "3", *cache_args(tmp_path))
         assert code == 1
-        match = re.search(r"complete only through length (\d+)$", err.strip())
+        match = re.search(r"complete only through (\d+) letters$", err.strip())
         assert match, err
         last = int(match.group(1))
         words = [json.loads(line)["sequence"] for line in out.splitlines()]
-        assert max(map(len, words)) <= last + 1
-        # every word up to the last complete length was printed, in order
-        assert [w for w in words if len(w) <= last] == [w for w in full if len(w) <= last]
+        # no word longer than the last complete length was printed, and
+        # every word up to it was, in order
+        assert max(map(len, words)) <= last
+        assert words == [w for w in full if len(w) <= last]
+        assert max(map(len, full)) > last
 
     def test_enum_k_cap(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "enum", "matrix", "--k", "5", *cache_args(tmp_path))
         assert code == 1 and "--budget" in err
+
+    # a prefix holds one byte per column, so a budget past the counting
+    # bound still gets no 9-row stream
+    @pytest.mark.parametrize("mode", ["matrix", "og"])
+    def test_enum_more_than_8_rows_refused(self, tmp_path, capsys, mode):
+        argv = ["enum", mode, "--k", "9", "--budget", str(10**80)]
+        code, out, err = run_cli(capsys, *argv, *cache_args(tmp_path))
+        assert code == 1 and out == ""
+        assert err.strip() == "error: the matrix construction takes at most 8 rows, got k=9"
 
     # k=100000 is refused before its bound, with terms of millions of digits, is built
     @pytest.mark.parametrize("mode, k", [("matrix", "4"), ("og", "3"), ("og", "100000")])

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mnl.automaton
 import mnl.pipeline
 from mnl.errors import InvalidInputError
 from mnl.ordered_graphs import (
@@ -171,29 +172,27 @@ class TestEnumerate:
         assert counts == {2: 46, 3: 479, 4: 2430, 5: 7720}
 
     def test_levels_and_screen_advances_pinned(self, monkeypatch):
-        # k = 3, columns 2..7: each prefix is extended once, and the
-        # patterns of L columns are the level-L prefixes that started every
-        # row.  Rebuilding the construction for every column count visited
-        # 3,206 prefixes and made 10,368 advances.
-        sizes, advances = [], []
-        levels, advance = mnl.pipeline._levels, _PrefixScreen.advance
+        # k = 3, columns 2..7: prefix_levels extends each construction
+        # state (rows started, screen state) once, and the screen steps
+        # once per state and column
+        extended, steps = [], []
+        levels, advance = mnl.automaton.prefix_levels, _PrefixScreen.advance
 
-        def counted_levels(*args):
-            for level in levels(*args):
-                sizes.append(len(level))
-                yield level
+        def counted_levels(start, extend, last, unit):
+            def counted_extend(state):
+                extended.append(state)
+                return extend(state)
+            return levels(start, counted_extend, last, unit)
 
         def counted_advance(self, state, mask):
-            advances.append(mask)
+            steps.append(mask)
             return advance(self, state, mask)
 
-        monkeypatch.setattr(mnl.pipeline, "_levels", counted_levels)
+        monkeypatch.setattr(mnl.automaton, "prefix_levels", counted_levels)
         monkeypatch.setattr(_PrefixScreen, "advance", counted_advance)
         assert sum(1 for _ in enumerate_candidates(3, 2, 7)) == 1805
-        # the last level holds only the 7-column patterns
-        assert sizes == [7, 39, 134, 306, 483, 543, 432]
-        # the empty prefix and every level but the last were extended
-        assert (1 + sum(sizes[:-1]), len(advances)) == (1513, 4819)
+        assert len(set(extended)) == len(extended) == 438
+        assert len(steps) == 1456
 
     def test_stream_deterministic(self):
         a = [str(r.pattern) for r in enumerate_candidates(2, 1, 6)]
@@ -280,8 +279,9 @@ def shared_screen(k):
 
 
 class TestPrefixScreen:
-    # Every example at one k steps the same screen, so an answer its memo
-    # kept from an earlier example, if stale, fails here.
+    # advance keeps nothing between calls: its answer is a function of the
+    # state and the column.  Every example at one k steps the same screen,
+    # so anything a screen carried from an earlier example would show here.
     @settings(derandomize=True, deadline=None, database=None, max_examples=400)
     @given(st.integers(2, 4).flatmap(
         lambda k: st.tuples(st.just(k), st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=8))
