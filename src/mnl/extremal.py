@@ -52,6 +52,7 @@ from .records import (
     DEFAULT_NODE_BUDGET,
     ExRecord,
     GrowthReport,
+    Solve,
     classify_increments,
     run_search,
 )
@@ -103,19 +104,19 @@ def ex_on_member(
     _require_nonempty(q)
     k, m = q.num_rows, q.num_cols
 
-    def search(budget: int) -> tuple[int, int]:
+    def prepare() -> Solve:
         tracks, at = matrix_automaton(q.col_masks, k, n)
         if not tracks:
-            return n * n, 0  # with no k board rows no copy of q fits
+            return lambda *board: (n * n, 0)  # with no k board rows no copy of q fits
         comp = completion_table(q.col_masks, k, n)
         terms = [completion_term(comp, t, n, k, 0) for t in range(n + 1)]
         sorted_cols = equal_columns(q)
         order = enumerate(column_order(n))
         candidates = [(x.bit_count(), at[x], i if sorted_cols else 0) for i, x in order]
-        return track_search(
-            tracks, tracks * m, [candidates] * (n + 1), terms, 0, budget, sorted_cols)
+        return lambda size, ceiling, best, budget: track_search(
+            tracks, tracks * m, [candidates] * (n + 1), terms, best, budget, sorted_cols)
 
-    return run_search("matrix", canonical_key(q), n, node_budget, search)
+    return run_search("matrix", canonical_key(q), n, node_budget, prepare)
 
 
 def growth_records(

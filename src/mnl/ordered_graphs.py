@@ -38,8 +38,8 @@ B onto the new edge (u, v).  Each step runs _place on the needle form
 og_contains uses, with L's mask set to u, B's to v, and the masks of
 their other neighbours cut to board neighbours of u and of v.  It bounds
 the rest of the board by exact extremal values on the smaller boards the
-last rows induce, solved first in the same call (the bootstrap used for
-exact Zarankiewicz numbers).
+last rows induce, solved first on records.run_search's board ladder (the
+bootstrap used for exact Zarankiewicz numbers).
 
 A g whose edges all run from 1..a to a+1..k, with vertices a and a+1 on
 edges, is searched vertex by vertex instead, as a matrix problem (Pach and
@@ -56,7 +56,7 @@ variant (used for cache keys and tsv cells).
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations
@@ -75,7 +75,7 @@ from .automaton import (
 from .errors import InvalidInputError, InvalidTransformationError
 # canonical_key is not called here; perfbench's traced run rebinds it on this module.
 from .patterns import MatrixKey, Pattern01, canonical_key, symmetry_keys  # noqa: F401
-from .records import DEFAULT_NODE_BUDGET, BudgetExhausted, ExRecord, run_search
+from .records import DEFAULT_NODE_BUDGET, BudgetExhausted, ExRecord, Solve, run_search
 
 
 @dataclass(frozen=True)
@@ -442,7 +442,7 @@ def _two_interval_split(g: OrderedGraph, n: int) -> int:
 
 def _og_vertex_search(
     g: OrderedGraph, a: int, n: int
-) -> Callable[[int, list[int], int, int], tuple[int, int]]:
+) -> Solve:
     """og_ex_exact's search for a g split after vertex a, as its docstring
     gives, its tables built once on the n-1 rows of the largest board:
     search(m, ceiling, best, node_budget), with _og_search's contract, has
@@ -498,20 +498,14 @@ def og_ex_exact(
     come number at most the n-v+1 slots left in row u plus ex_<(n-u, g),
     and at most ex_<(n-u+1, g) less the edges already chosen in row u.  A
     branch that cannot beat the best board found is cut.  The values for
-    m < n come from exact searches inside this call, smallest m first, on
-    the same node budget, counted in nodes_explored; for m < |V(g)| the
-    value is C(m, 2).  A sub-search that runs out of budget raises
-    BudgetExhausted, which ends the call with an inexact record; what it
-    found is only a lower bound and never becomes a ceiling.  The record
-    names a board on n vertices: the sub-search's best when m = n or when
-    g's first or last vertex has an edge (Start, below), else 0.
+    m < n come from records.run_search's ladder of boards |V(g)|..n, and
+    are C(m, 2) for m < |V(g)|.
 
     Start: when g's last vertex has an edge, a g-free board with an
     isolated vertex appended is still g-free, since only g's last vertex
     could land on it; likewise a prepended one when g's first vertex has
-    an edge.  Then each search starts from the best board on one vertex
-    fewer, and a budget overrun before the last search still reports a
-    board that exists on n vertices.
+    an edge.  Then the ladder pads: each board starts from the best board
+    on one vertex fewer.
 
     Two intervals: when every g-edge runs from 1..a to a+1..k and vertices
     a and a+1 both lie on edges (interval_chromatic(g) == 2, split where
@@ -542,9 +536,8 @@ def og_ex_exact(
     Bound at vertex v, t = m-v+1 columns to come: an edge still to come
     has its right end in v..m.  Those with both ends there lie in the
     board induced on v..m, at most ex_<(t, g), a value for a smaller board
-    solved first in the same call (an inexact one ends the call, as
-    above).  The others run from the v-1 old vertices to the new ones.  An
-    a-set S of old rows is a track switched on before column v, in state
+    solved first in the same call.  The others run from the v-1 old
+    vertices to the new ones.  An a-set S of old rows is a track switched on before column v, in state
     s_S, so rows S take at most comp[t][s_S] more ones (the
     completion_table) without completing M.  Each old row lies in
     C(v-2, a-1) such sets, so the sum of comp[t][s_S] over them divided
@@ -556,27 +549,12 @@ def og_ex_exact(
     """
     if not g.edges:
         raise InvalidInputError("forbidden graph needs at least one edge")
-    k = g.num_vertices
-    grows = g.degree(1) > 0 or g.degree(k) > 0  # an isolated vertex pads a board (Start)
     a = _two_interval_split(g, n)
-
-    def search(budget: int) -> tuple[int, int]:
-        ceiling = [comb(m, 2) for m in range(n + 1)]  # upper bounds on ex_<(m, g)
-        sub_search = _og_vertex_search(g, a, n) if a else partial(_og_search, g)
-        nodes = 0
-        for m in range(k, n + 1):  # none when g outgrows the board
-            seed = ceiling[m - 1] if grows and m > k else 0
-            try:
-                ceiling[m], used = sub_search(m, ceiling, seed, budget - nodes)
-            except BudgetExhausted as stop:
-                value, used = stop.args
-                if m < n and not grows:
-                    value = 0  # a board on m < n vertices proves nothing about n
-                raise BudgetExhausted(value, nodes + used) from None
-            nodes += used
-        return ceiling[n], nodes
-
-    return run_search("ordered-graph", og_key(g), n, node_budget, search)
+    return run_search(
+        "ordered-graph", og_key(g), n, node_budget,
+        lambda: _og_vertex_search(g, a, n) if a else partial(_og_search, g),
+        first=g.num_vertices, ceiling=lambda m: comb(m, 2),
+        pads=g.degree(1) > 0 or g.degree(g.num_vertices) > 0)  # Start, above
 
 
 # ---------------------------------------------------------------------------
@@ -737,16 +715,18 @@ def og_reduce_smallest(g: OrderedGraph) -> OrderedGraph:
     return OrderedGraph(g.num_vertices, g.edges - removed)
 
 
+def _bipartite_dropped(g: OrderedGraph, parts: Bipartition) -> list[tuple[int, int]]:
+    """The edges (u, v) og_bipartite_reduce deletes: u in part_u and v its
+    smallest neighbour.  A bad bipartition raises."""
+    check_bipartition(g, parts)
+    adj = g._forms[0]
+    return [(u, (adj[u] & -adj[u]).bit_length() - 1) for u in parts.part_u if adj[u]]
+
+
 def og_bipartite_reduce(g: OrderedGraph, parts: Bipartition) -> OrderedGraph:
     """For every vertex of part_u with a neighbor, delete its edge to the
     smallest-labeled neighbor (necessarily in part_v)."""
-    check_bipartition(g, parts)
-    removed = set()
-    for u in sorted(parts.part_u):
-        nbrs = g.neighbors(u)
-        if nbrs:
-            v = min(nbrs)
-            removed.add((min(u, v), max(u, v)))
+    removed = {(min(e), max(e)) for e in _bipartite_dropped(g, parts)}
     return OrderedGraph(g.num_vertices, g.edges - removed)
 
 
@@ -754,12 +734,10 @@ def og_bipartite_reduced_degrees(g: OrderedGraph, parts: Bipartition) -> dict[in
     """The degree of each part_v vertex in og_bipartite_reduce(g, parts),
     counted without building that graph: its neighbours, less those whose
     smallest neighbour it is.  A bad bipartition raises as there."""
-    check_bipartition(g, parts)
-    adj = g._forms[0]
     dropped = dict.fromkeys(parts.part_v, 0)  # v -> the part_u vertices whose smallest neighbour is v
-    for u in parts.part_u:
-        if adj[u]:
-            dropped[(adj[u] & -adj[u]).bit_length() - 1] |= 1 << u
+    for u, v in _bipartite_dropped(g, parts):
+        dropped[v] |= 1 << u
+    adj = g._forms[0]
     return {v: (adj[v] & ~mask).bit_count() for v, mask in dropped.items()}
 
 

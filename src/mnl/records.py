@@ -1,9 +1,10 @@
 """Result records shared by the matrix, sequence, and ordered-graph engines,
-and the driver that runs each engine's search and builds its record."""
+and the board ladder that runs each engine's searches and builds its record."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Any, Callable
 
 from .errors import InvalidInputError
@@ -53,15 +54,7 @@ class ExRecord:
             raise ValueError(f"graph value {self.value} exceeds n(n-1)/2")
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "key": self.pattern_key,
-            "kind": self.kind,
-            "n": self.n,
-            "value": self.value,
-            "exact": self.exact,
-            "nodes_explored": self.nodes_explored,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return dict(zip(_JSON_FIELDS, _field_values(self)))
 
     @classmethod
     def from_json_dict(cls, d: dict[str, Any]) -> "ExRecord":
@@ -71,6 +64,15 @@ class ExRecord:
             if type(d[name]) is not kind:
                 raise ValueError(f"field {name!r} must be {kind.__name__}, got {d[name]!r}")
         return cls(*(d[name] for name in _JSON_FIELDS))
+
+
+# ExRecord's field values in _JSON_FIELDS order, read without building the
+# instance's __dict__, which vars() would keep on every record
+_field_values = attrgetter(*(field.name for field in fields(ExRecord)))
+
+
+# solve(m, ceiling, best, budget) -> (value, nodes), one board of run_search
+Solve = Callable[[int, list[int], int, int], tuple[int, int]]
 
 
 class BudgetExhausted(Exception):
@@ -83,23 +85,50 @@ def run_search(
     key: str,
     n: int,
     node_budget: int,
-    search: Callable[[int], tuple[int, int]],
+    prepare: Callable[[], Solve],
+    first: int | None = None,
+    ceiling: Callable[[int], int] = lambda m: 0,
+    pads: bool = False,
 ) -> ExRecord:
-    """Run search(node_budget) -> (value, nodes) on a board of size n and
-    return its timed record, exact when the search returns.  A search whose
-    budget runs out raises BudgetExhausted(value, nodes) instead, which
-    records an inexact value; that is its only way to stop early."""
+    """Solve boards first..n of one exact engine, smallest first, and
+    return the timed record of board n.
+
+    prepare() builds the engine's tables and returns solve(m, ceiling, best,
+    budget) -> (value, nodes): the optimum on board m, searched for above a
+    board of value best known to exist, with ceiling[j] an upper bound on
+    board j's value for every j < m.  ceiling[j] starts as ceiling(j) and
+    becomes board j's value once board j is solved.  first defaults to n,
+    a single board.  All boards share one node budget.  With pads, a board
+    m-1 plus one padding element is a board m, so board m starts from
+    board m-1's value; otherwise from 0.
+
+    A solve whose budget runs out raises BudgetExhausted(value, nodes), its
+    only way to stop early.  The ladder stops there with an inexact record.
+    Its value is a lower bound that never becomes a ceiling, and it names a
+    board on n only on board n or with pads; otherwise 0 is recorded.
+    """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if node_budget < 0:
         raise InvalidInputError(f"node budget must be >= 0, got {node_budget}")
     start = time.monotonic()
-    try:
-        (value, nodes), exact = search(node_budget), True
-    except BudgetExhausted as stop:
-        (value, nodes), exact = stop.args, False
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    return ExRecord(key, kind, n, value, exact, nodes, elapsed_ms)
+
+    def record(value: int, exact: bool, nodes: int) -> ExRecord:
+        return ExRecord(key, kind, n, value, exact, nodes, int((time.monotonic() - start) * 1000))
+
+    solve = prepare()
+    ceilings = [ceiling(m) for m in range(n + 1)]
+    first = n if first is None else first
+    nodes = 0
+    for m in range(first, n + 1):
+        seed = ceilings[m - 1] if pads and m > first else 0
+        try:
+            ceilings[m], used = solve(m, ceilings, seed, node_budget - nodes)
+        except BudgetExhausted as stop:
+            value, used = stop.args
+            return record(value if pads or m == n else 0, False, nodes + used)
+        nodes += used
+    return record(ceilings[n], True, nodes)
 
 
 @dataclass(frozen=True)

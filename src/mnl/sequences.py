@@ -15,11 +15,11 @@ the longest continuation of a word on what decides it: the track state, the
 last r-1 letters and the largest symbol used.  Once a track is one letter
 short of a copy, the symbol that would complete it is dead for good, so a
 word's continuation is at most Ex(u, L) long, L the symbols still live; the
-search solves the boards on fewer symbols first for these ceilings, and its
-memo keeps the bounds that cut subtrees give apart from exact values, under
-automaton.track_search's fail-low rules.  The candidate stream grows
-its words with automaton.prefix_levels, stepping each condition state
-once per letter.
+search solves the boards on fewer symbols first for these ceilings, on
+records.run_search's board ladder, and its memo keeps the bounds that cut
+subtrees give apart from exact values, under automaton.track_search's
+fail-low rules.  The candidate stream grows its words with
+automaton.prefix_levels, stepping each condition state once per letter.
 
 Text format: lowercase letters a-z (a=1, b=2, ...) for alphabets up to 26,
 comma-separated positive integers otherwise.  Parsing normalizes, so "bab"
@@ -28,6 +28,7 @@ and "aba" denote the same value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from heapq import merge
 from itertools import chain
 from typing import Iterable, Iterator
@@ -193,16 +194,11 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
 
     Ceiling: the continuation of a word is itself a word whose r-windows
     are distinct and which avoids u, over the L symbols not dead, so it is
-    at most Ex(u, L) letters long.  The boards L = 1..n-1 are solved first,
-    smallest first, in the same call and on the same node budget, each
-    with the ceilings of the smaller ones, as og_ex_exact solves its
-    smaller boards; a word whose length plus Ex(u, L) cannot beat the best
-    length found returns Ex(u, L) as a bound.  A word over L < n symbols
-    is also one over n, so each board starts from the last one's value,
-    and a board that runs out of budget raises BudgetExhausted with its
-    best, a real lower bound, and the call's nodes; that value never
-    becomes a ceiling.  The n-symbol board's table-size check runs before
-    any board is searched, so an oversized board is refused at once.
+    at most Ex(u, L) letters long, a value of records.run_search's ladder
+    of boards 1..n, which pads: a word over L < n symbols is one over n.
+    A word whose length plus Ex(u, L) cannot beat the best length found
+    returns Ex(u, L) as a bound.  The n-symbol board's tables are built,
+    and an oversized board refused, before any board is searched.
 
     Memo: the longest continuation of a word depends only on its track
     state, its window code (the last r-1 letters as base-(s+1) digits on
@@ -222,11 +218,11 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     r = u.alphabet_size
     m = len(u.letters)
 
-    def solve(size: int, tables: tuple[int, list[int]], ceiling: list[int],
+    def solve(largest: tuple[int, list[int]], size: int, ceiling: list[int],
               best: int, budget: int) -> tuple[int, int]:
         """(Ex(u, size), nodes) from a word of length best that exists,
         ceiling[L] = Ex(u, L) for every L < size."""
-        tracks, at = tables
+        tracks, at = largest if size == n else sequence_automaton(u.letters, size)
         done = tracks * m  # a state with a bit from here up holds a copy of u
         last = done - tracks  # field m-1, one letter short of a copy
         full = (1 << tracks) - 1
@@ -305,21 +301,9 @@ def seq_ex_exact(u: Sequence, n: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
             older.clear()
         return best, nodes
 
-    def search(budget: int) -> tuple[int, int]:
-        largest = sequence_automaton(u.letters, n)  # refuses an oversized board first
-        ceiling = [0] * (n + 1)  # ceiling[L] = Ex(u, L) once board L is solved
-        nodes = 0
-        for size in range(1, n + 1):
-            tables = largest if size == n else sequence_automaton(u.letters, size)
-            try:
-                ceiling[size], used = solve(size, tables, ceiling, ceiling[size - 1], budget - nodes)
-            except BudgetExhausted as stop:
-                value, used = stop.args
-                raise BudgetExhausted(value, nodes + used) from None
-            nodes += used
-        return ceiling[n], nodes
-
-    return run_search("sequence", format_sequence(u), n, node_budget, search)
+    return run_search(
+        "sequence", format_sequence(u), n, node_budget,
+        lambda: partial(solve, sequence_automaton(u.letters, n)), first=1, pads=True)
 
 
 def insert_repeat(u: Sequence, symbol: int, gap_index: int) -> Sequence:

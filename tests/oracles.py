@@ -198,6 +198,17 @@ def naive_og_ex(n: int, g: OrderedGraph) -> int:
     return best
 
 
+def naive_bipartite_reduce(g: OrderedGraph, parts: Bipartition) -> OrderedGraph:
+    """g less, for each part_u vertex u with an edge, its edge whose other
+    end is smallest, found by scanning the edge set."""
+    removed = set()
+    for u in parts.part_u:
+        touching = [(a + b - u, (a, b)) for a, b in g.edges if u in (a, b)]
+        if touching:
+            removed.add(min(touching)[1])
+    return OrderedGraph(g.num_vertices, g.edges - removed)
+
+
 def naive_interval_chromatic(g: OrderedGraph) -> int:
     """Minimum over every cut set of the vertex line."""
     n = g.num_vertices
@@ -264,6 +275,26 @@ def sum_og_bound(k: int) -> int:
     for i in range(low, 4 * k - 1):
         total += comb(k + i, k) * (i**k - (i - 1) ** k) * k ** (i - 1)
     return total
+
+
+def naive_board_ladder(n, first, ceiling, pads, budget, values, costs):
+    """(value, exact, nodes) of records.run_search on synthetic boards,
+    ceiling[m] the bound of a board never solved: board m costs costs[m]
+    nodes and is worth values[m], or its seed if that is more.  A board
+    costing more than the budget left stops the ladder with half its worth
+    (or its seed) found, which names a board on n only on the last board
+    or when boards pad; the seed is the last board's worth when they pad,
+    else 0."""
+    worth = {}
+    spent = 0
+    for m in range(first, n + 1):
+        seed = worth[m - 1] if pads and m - 1 in worth else 0
+        if spent + costs[m] > budget:
+            found = max(seed, values[m] // 2)
+            return (found if m == n or pads else 0), False, budget
+        spent += costs[m]
+        worth[m] = max(seed, values[m])
+    return worth.get(n, ceiling[n]), True, spent
 
 
 def naive_cache_get(path, key: str, kind: str, n: int) -> ExRecord | None:

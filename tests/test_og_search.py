@@ -5,6 +5,7 @@ import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -20,9 +21,10 @@ from mnl.ordered_graphs import (
     og_contains,
     og_ex_exact,
     og_insert_isolated,
+    og_key,
     parse_ordered_graph,
 )
-from mnl.records import DEFAULT_NODE_BUDGET
+from mnl.records import DEFAULT_NODE_BUDGET, run_search
 
 from oracles import naive_og_contains, naive_og_ex
 
@@ -184,11 +186,10 @@ def two_interval_graphs(draw):
 
 
 def edge_slot_ex(n, g):
-    """ex_<(n, g) by og_ex_exact's bootstrap run on _og_search alone."""
-    ceiling = [comb(m, 2) for m in range(n + 1)]
-    for m in range(g.num_vertices, n + 1):
-        ceiling[m], _ = _og_search(g, m, ceiling, 0, DEFAULT_NODE_BUDGET)
-    return ceiling[n]
+    """ex_<(n, g) by og_ex_exact's board ladder run on _og_search alone."""
+    return run_search(
+        "ordered-graph", og_key(g), n, DEFAULT_NODE_BUDGET, lambda: partial(_og_search, g),
+        first=g.num_vertices, ceiling=lambda m: comb(m, 2)).value
 
 
 def test_vertex_search_matches_edge_slot_search():

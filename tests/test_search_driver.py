@@ -1,10 +1,11 @@
-"""The search driver shared by the three exact engines: what a node budget
-means, the refusal of a negative one, the node counts of fixed instances,
-and the names the benchmark's traced run rebinds to count engine nodes
-through the CLI."""
+"""The search driver shared by the three exact engines: its board ladder
+against a naive one, what a node budget means, the refusal of a negative
+one, the node counts of fixed instances, and the names the benchmark's
+traced run rebinds to count engine nodes through the CLI."""
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mnl.cli
 import mnl.pipeline
@@ -12,8 +13,10 @@ from mnl.errors import InvalidInputError
 from mnl.extremal import ex_branch_bound
 from mnl.ordered_graphs import og_ex_exact, parse_ordered_graph
 from mnl.patterns import parse_pattern
-from mnl.records import DEFAULT_NODE_BUDGET
+from mnl.records import DEFAULT_NODE_BUDGET, BudgetExhausted, run_search
 from mnl.sequences import parse_sequence, seq_ex_exact
+
+from oracles import naive_board_ladder
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,6 +57,31 @@ CLI_RUNS = (
     ("seq-ex", "--sequence", "ababa", "--n", "3"),
     ("og-ex", "--graph", "n=4;1 3;1 4;2 3;2 4", "--n", "5"),
 )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.data())
+def test_board_ladder_matches_naive(data):
+    n = data.draw(st.integers(1, 8))
+    first = data.draw(st.integers(1, n + 1))
+    pads = data.draw(st.booleans())
+    board_lists = st.lists(st.integers(0, 30), min_size=n + 1, max_size=n + 1)
+    tops, values, costs = data.draw(board_lists), data.draw(board_lists), data.draw(board_lists)
+    budget = data.draw(st.integers(0, sum(costs) + 2))
+    worth = {}  # the boards solved so far
+
+    def solve(m, ceiling, best, left):
+        assert m == max(worth, default=first - 1) + 1  # smallest first, none skipped
+        assert ceiling[:m] == [worth.get(j, tops[j]) for j in range(m)]  # only exact ceilings
+        assert best == (worth[m - 1] if pads and m - 1 in worth else 0)
+        if costs[m] > left:
+            raise BudgetExhausted(max(best, values[m] // 2), left)
+        worth[m] = max(best, values[m])
+        return worth[m], costs[m]
+
+    rec = run_search("sequence", "x", n, budget, lambda: solve, first, tops.__getitem__, pads)
+    assert (rec.value, rec.exact, rec.nodes_explored) == naive_board_ladder(
+        n, first, tops, pads, budget, values, costs)
 
 
 @pytest.mark.parametrize("case", ENGINES)
